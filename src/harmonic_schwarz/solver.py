@@ -771,8 +771,15 @@ def solve_zero_b(
         moments_k = moments_Rcal(spec, lam_k, rule, breakpoints=breaks_k or None)
         return lam_k, breaks_k, float(np.abs(moments_k - spec.a).max())
 
-    lam, breaks, residual = attempt(rule)
-    if residual >= tol and breaks:
+    first_error = None
+    try:
+        lam, breaks, residual = attempt(rule)
+    except SolverError as exc:
+        # a kink layer thinner than the plain rule's node spacing can
+        # defeat the bracketing; the graded stages below still apply
+        first_error = exc
+        lam, breaks, residual = None, (), np.inf
+    if residual >= tol and (breaks or first_error is not None):
         # thin kink layer (small tail): re-anchor on a deep partition at
         # the vanishing-tail jump latitude, then relocate onto partitions
         # built at the latest root until one of them confirms the moments
@@ -795,6 +802,8 @@ def solve_zero_b(
                 continue
             if residual < tol:
                 break
+    if first_error is not None and not np.isfinite(residual):
+        raise first_error
     if not residual < tol:
         raise SolverError(
             f"degenerate-branch solve stalled at residual {residual:.3e}",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_schwarz import ProblemSpec
+from harmonic_schwarz import OracleError, ProblemSpec
 from harmonic_schwarz.bounds import axis_bound
 from harmonic_schwarz.mapping import boundary_map, constant_map, eval_batch
 from harmonic_schwarz.oracle import (
@@ -35,7 +35,7 @@ def reference_bound(n, m, r, a, b):
 
 def test_zonal_search_recovers_the_planar_centered_bound():
     spec = ProblemSpec(2, 1, 0.5, (0.0,), 0.0)
-    value = discretized_max(spec, node_count=2048, restarts=4)
+    value = discretized_max(spec, node_count=2048)
     expected = (4.0 / np.pi) * np.arctan(0.5)
     assert value == pytest.approx(expected, abs=1e-6)
 
@@ -44,8 +44,26 @@ def test_zonal_search_matches_the_high_cap_bound():
     # nearly all the admissible mass is pinned by b; the program is almost
     # a single-point problem and the search should nail it
     spec = ProblemSpec(3, 1, 0.4, (0.0,), 0.99)
-    value = discretized_max(spec, node_count=2048, restarts=4)
+    value = discretized_max(spec, node_count=2048)
     assert value == pytest.approx(reference_bound(3, 1, 0.4, (0.0,), 0.99), abs=1e-6)
+
+
+def test_zonal_search_resolves_an_off_centre_jump():
+    # b = 0 with no tail: the dual's sign datum meets the mean only to node
+    # spacing (4.9e-4 short here) until the crossing node absorbs the rest
+    spec = ProblemSpec(2, 1, 0.7761699154273051, (0.2935655363025601,), 0.0)
+    value = discretized_max(spec, node_count=2048)
+    expected = reference_bound(2, 1, 0.7761699154273051, (0.2935655363025601,), 0.0)
+    assert value == pytest.approx(expected, abs=1e-6)
+
+
+def test_zonal_search_certifies_its_gap():
+    spec = ProblemSpec(3, 2, 0.5, (0.2, -0.1), 0.4)
+    value = discretized_max(spec, node_count=2048, tol=1e-8)
+    assert value == pytest.approx(reference_bound(3, 2, 0.5, (0.2, -0.1), 0.4), abs=1e-6)
+    with pytest.raises(OracleError) as err:
+        discretized_max(spec, node_count=2048, tol=1e-30)
+    assert err.value.gap > 1e-30
 
 
 def test_sphere_search_approaches_the_axis_bound():

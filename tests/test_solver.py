@@ -19,6 +19,7 @@ from harmonic_schwarz import (
     zonal_integrate,
     zonal_rule,
 )
+from harmonic_schwarz.bounds import axis_bound
 
 
 def jump_latitude_oracle(n: int, a1: float) -> float:
@@ -231,6 +232,17 @@ def test_solve_zero_b_nonzero_tail_residual():
     moved = moments_Rcal(spec, sol.lam, zonal_rule(3))
     np.testing.assert_allclose(moved, spec.a, atol=1e-8)
     assert sol.jump_point is None
+
+
+def test_solve_zero_b_tiny_tail_falls_through_to_the_graded_stages():
+    # with a 1e-5 tail the plain rule cannot bracket the tail field; the
+    # graded re-anchoring must still run and solve it.  The reference is
+    # the continuum dual minimized on polar-angle Gauss-Legendre panels.
+    spec = ProblemSpec(n=2, m=2, r=0.3306646056060621, a=np.array([0.510286145368913, -1e-05]), b=0.0)
+    sol = solve_zero_b(spec)
+    assert sol.residual < 1e-8
+    assert sol.breakpoints
+    assert axis_bound(spec).value == pytest.approx(0.7442543621060742, abs=1e-10)
 
 
 def test_solve_zero_b_boundary_adjacent_warning():
