@@ -221,6 +221,9 @@ def _certify(u: np.ndarray, program: DiscretizedProgram) -> tuple[np.ndarray, fl
     return x, violation
 
 
+_GAP_TOL = 5e-4  # default bound on the dual value minus the certified value
+
+
 def _maximize(program: DiscretizedProgram, tol: float) -> float:
     """Certified objective of the dual's primal point: a lower bound of
     the discrete maximum, within ``tol`` of the dual value, which is an
@@ -243,7 +246,7 @@ def _maximize(program: DiscretizedProgram, tol: float) -> float:
     return value
 
 
-def discretized_max(spec: ProblemSpec, node_count: int = 2048, tol: float = 5e-4) -> float:
+def discretized_max(spec: ProblemSpec, node_count: int = 2048, tol: float = _GAP_TOL) -> float:
     """Certified value of the node-discretized extremal program.
 
     The feasibility of the point behind the value is certified to 1e-9,
@@ -255,20 +258,16 @@ def discretized_max(spec: ProblemSpec, node_count: int = 2048, tol: float = 5e-4
     return _maximize(build_program(spec, node_count), tol)
 
 
-def discretized_max_sphere(
-    spec: ProblemSpec,
-    node_count: int = 200,
-    seed: int = 0,
-    tol: float = 5e-4,
-) -> float:
+def discretized_max_sphere(spec: ProblemSpec, node_count: int = 200, seed: int = 0) -> float:
     """Coarse non-zonal variant on antithetic uniform sphere nodes.
 
     Exists to cross-check the zonal discretization with an unrelated
-    node geometry, and runs the same certificate; ``seed`` picks the
-    nodes.  The value is the optimum of the node program, but the nodes
-    are a Monte Carlo sample of the sphere, so its distance to the axis
-    bound is sampling error: at the default 200 nodes it can reach tens
-    of percent (0.6898 against 0.5346 for one b = 0 center at seed 1,
+    node geometry, and runs the same certificate with
+    ``discretized_max``'s default gap bound; ``seed`` picks the nodes.
+    The value is the optimum of the node program, but the nodes are a
+    Monte Carlo sample of the sphere, so its distance to the axis bound
+    is sampling error: at the default 200 nodes it can reach tens of
+    percent (0.6898 against 0.5346 for one b = 0 center at seed 1,
     with the dual value equal to the certified one).
     """
     if node_count < 8 or node_count % 2:
@@ -285,7 +284,7 @@ def discretized_max_sphere(
         kernel=kernel,
         description=f"antithetic uniform sample, {node_count} sphere nodes",
     )
-    return _maximize(program, tol)
+    return _maximize(program, _GAP_TOL)
 
 
 @dataclass(frozen=True)
