@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import SolverError
 from .sphere import (
@@ -58,6 +57,14 @@ MAX_DIMENSION = 16
 MAX_TARGET_DIM = 8
 
 _BRENTQ_KW = dict(xtol=1e-30, rtol=9e-16, maxiter=300)
+
+# glibc's malloc raises its mmap and trim thresholds to the size of the first
+# large block it unmaps.  Until that happens, the ~180 KB temporaries of the
+# graded moment rules are handed back to the kernel after every evaluation and
+# page-faulted in again on the next one (b = 0 envelope sweeps ran about a
+# third slower for it on a 2-core Linux machine).  Freeing one 4 MB block here
+# lifts both thresholds above those temporaries; other allocators ignore it.
+np.empty(1 << 19)
 
 __all__ = [
     "ProblemSpec",
@@ -361,29 +368,105 @@ def _bracket_decreasing(fun, lo, hi, grow, max_expand=80):
     return lo, hi
 
 
+def _brentq(f, xa, xb, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
+    """Root of f on [xa, xb] by the Brent-Dekker iteration.
+
+    A step-for-step port of the iteration behind ``scipy.optimize.brentq``,
+    with the same meaning of ``xtol``, ``rtol`` (default 4 eps) and
+    ``maxiter``, so it returns the same root bit for bit.  Each step tries
+    inverse quadratic or secant interpolation and falls back to bisection
+    when that step would not shrink the bracket fast enough; the iteration
+    stops when half the bracket is below (xtol + rtol |x|) / 2.  Raises
+    ``SolverError`` when f(xa) and f(xb) have the same sign, when f
+    returns NaN, or when ``maxiter`` steps do not converge.
+    """
+
+    def call(x):
+        fx = f(x)
+        if fx != fx:
+            raise SolverError(f"residual is NaN at x={x!r}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise SolverError(f"residual has the same sign at both ends of [{xa!r}, {xb!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # keep the best estimate in xcur, the other bracket end in xblk
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise SolverError(f"root not converged after {maxiter} iterations", iterations=maxiter)
+
+
 class _EvalCounter:
     def __init__(self):
         self.count = 0
 
 
-def _solve_lambda1(g, w, mu, c2, target, counter: _EvalCounter) -> float:
+def _solve_lambda1(g, w, mu, c2, target, counter: _EvalCounter, start=None) -> float:
     """Unique root of R_1(lam1) = target at fixed (mu, c2); R_1 is strictly
-    decreasing in lam1 and spans (-1, 1)."""
+    decreasing in lam1 and spans (-1, 1).
+
+    Without ``start`` the bracket spans the kernel range.  With it (a
+    nearby root, e.g. at the previous mu) the bracket grows outward from
+    start +- scale in steps of x4, so Brent starts on a bracket about as
+    wide as the datum's turnover layer.
+    """
 
     def resid(lam1):
         counter.count += 1
         return _axis_moments(g, w, lam1, mu, c2)[0] - target
 
-    g_lo, g_hi = float(g.min()), float(g.max())
     scale = max(mu * np.sqrt(1.0 + c2), 1e-6)
+    if start is None:
+        g_lo, g_hi = float(g.min()), float(g.max())
+        lo, hi = g_lo - scale, g_hi + scale
 
-    def grow(x, side):
-        if side < 0:
-            return g_lo - 2.0 * max(g_lo - x, scale)
-        return g_hi + 2.0 * max(x - g_hi, scale)
+        def grow(x, side):
+            if side < 0:
+                return g_lo - 2.0 * max(g_lo - x, scale)
+            return g_hi + 2.0 * max(x - g_hi, scale)
 
-    lo, hi = _bracket_decreasing(resid, g_lo - scale, g_hi + scale, grow)
-    return brentq(resid, lo, hi, **_BRENTQ_KW)
+    else:
+        lo, hi = start - scale, start + scale
+
+        def grow(x, side):
+            return start + 4.0 * (x - start)
+
+    lo, hi = _bracket_decreasing(resid, lo, hi, grow)
+    return _brentq(resid, lo, hi, **_BRENTQ_KW)
 
 
 def _positive_b_fallback(spec, g, w, c2, counter):
@@ -395,9 +478,11 @@ def _positive_b_fallback(spec, g, w, c2, counter):
     bracket always exists.
     """
     a1, b = float(spec.a[0]), spec.b
+    lam1 = None  # warm start of each inner solve: the latest outer iterate's lam_1
 
     def phi(mu):
-        lam1 = _solve_lambda1(g, w, mu, c2, a1, counter)
+        nonlocal lam1
+        lam1 = _solve_lambda1(g, w, mu, c2, a1, counter, start=lam1)
         counter.count += 1
         return lam1, _axis_moments(g, w, lam1, mu, c2)[1] - b
 
@@ -417,8 +502,8 @@ def _positive_b_fallback(spec, g, w, c2, counter):
         expansions += 1
         if expansions > 80:
             raise SolverError("failed to bracket mu from above")
-    mu = brentq(lambda x: phi(x)[1], lo, hi, **_BRENTQ_KW)
-    lam1 = _solve_lambda1(g, w, mu, c2, a1, counter)
+    mu = _brentq(lambda x: phi(x)[1], lo, hi, **_BRENTQ_KW)
+    lam1 = _solve_lambda1(g, w, mu, c2, a1, counter, start=lam1)
     return lam1, mu
 
 
@@ -652,7 +737,7 @@ def _jump_latitude(rule: QuadratureRule, a1: float, counter: _EvalCounter) -> fl
             - a1
         )
 
-    return brentq(resid, -1.0 + 1e-13, 1.0 - 1e-13, **_BRENTQ_KW)
+    return _brentq(resid, -1.0 + 1e-13, 1.0 - 1e-13, **_BRENTQ_KW)
 
 
 def solve_zero_b(
@@ -734,7 +819,7 @@ def solve_zero_b(
                 return g_hi + 2.0 * max(x - g_hi, scale)
 
             lo, hi = _bracket_decreasing(resid, g_lo - scale, g_hi + scale, grow)
-            return brentq(resid, lo, hi, **_BRENTQ_KW)
+            return _brentq(resid, lo, hi, **_BRENTQ_KW)
 
         def mismatch(tail_field):
             w2 = tail_field * tail_field
@@ -759,7 +844,7 @@ def solve_zero_b(
             expansions += 1
             if expansions > 80:
                 raise SolverError("failed to bracket the tail field from above")
-        tail_field = brentq(lambda x: mismatch(x)[1], lo, hi, **_BRENTQ_KW)
+        tail_field = _brentq(lambda x: mismatch(x)[1], lo, hi, **_BRENTQ_KW)
         lam1 = solve_lam1(tail_field * tail_field)
         j_value = _zero_b_axis(g, w, lam1, tail_field * tail_field)[1]
         return lam1, float(tail_field), j_value
@@ -786,7 +871,7 @@ def solve_zero_b(
         stages = []
         try:
             t_jump = _jump_latitude(rule, a1, counter)
-        except ValueError:
+        except SolverError:
             t_jump = None
         if t_jump is not None:
             stages.append(_segment_quadrature(rule, _graded_partition(t_jump, 1e-13)))
@@ -864,7 +949,7 @@ def lambda_path_point(spec: ProblemSpec, mu: float, rule: QuadratureRule | None 
         f_hi = mismatch(hi)[1]
         if hi > 1e300:
             raise SolverError("failed to bracket the tail field from above")
-    tail_field = brentq(lambda x: mismatch(x)[1], lo, hi, **_BRENTQ_KW)
+    tail_field = _brentq(lambda x: mismatch(x)[1], lo, hi, **_BRENTQ_KW)
     c2 = tail_field * tail_field
     lam1 = _solve_lambda1(g, w, mu, c2, a1, counter)
     value_i = _axis_moments(g, w, lam1, mu, c2)[1]

@@ -15,9 +15,9 @@ integrand that occurs:
   where c_n is exactly the constant that makes the weight integrate to
   one.  Gauss-Jacobi nodes for the weight (1 - t^2)^{(n-3)/2} make the
   one-dimensional rule exact for polynomial profiles of degree up to
-  2*order - 1.  For n = 2 the weight is the Chebyshev one and the nodes
-  have a closed form; for n = 3 the weight is flat and the rule is
-  Gauss-Legendre.
+  2*order - 1.  For n = 2 and n = 4 the weight is a Chebyshev one
+  ((1 - t^2)^{-1/2} and (1 - t^2)^{1/2}) and the rule has a closed form;
+  for n = 3 the weight is flat and the rule is Gauss-Legendre.
 
 * biaxial: the integrand depends on omega through the pair
   (t1, t2) = (<omega, N>, <omega, e>) for a unit e orthogonal to N.
@@ -34,15 +34,24 @@ locations as breakpoints, and each sub-interval gets its own mapped
 rule.  Sub-intervals touching an endpoint keep the (possibly singular)
 endpoint factor inside a one-sided Jacobi weight; interior sub-intervals
 fold the full weight into the integrand and use Gauss-Legendre.
+
+Every Gauss rule without a closed form, for (1-x)^alpha (1+x)^beta with
+alpha, beta in {-1/2, 0, 1/2, ..., 13/2} and Legendre included, comes from one
+numpy routine: Newton's method on the orthonormal three-term recurrence,
+run at all nodes at once and started from Chebyshev-angle guesses with
+Gatteschi's correction, then Christoffel weights mass / sum_k p_k(x)^2,
+with the mass 2^{alpha+beta+1} B(alpha+1, beta+1) from ``math.lgamma``.
+It converges in a handful of sweeps at every order up to 2048, costs
+O(order^2) per sweep, and needs no dense eigensolver.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 from .errors import QuadratureError
 
@@ -69,7 +78,85 @@ def _weight_exponent(n: int) -> float:
 
 def _zonal_constant(n: int) -> float:
     # c_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)), kept in log form for large n.
-    return float(np.exp(gammaln(0.5 * n) - gammaln(0.5 * (n - 1)))) / np.sqrt(np.pi)
+    return math.exp(math.lgamma(0.5 * n) - math.lgamma(0.5 * (n - 1))) / math.sqrt(math.pi)
+
+
+def _jacobi_recurrence(order: int, alpha: float, beta: float):
+    """Coefficients of x p_k = s_{k+1} p_{k+1} + a_k p_k + s_k p_{k-1} for the
+    orthonormal Jacobi polynomials: a_k for k < order, s_k for k <= order;
+    order >= 1."""
+    k = np.arange(order + 1, dtype=float)
+    ab = alpha + beta
+    s = 2.0 * k + ab
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (beta * beta - alpha * alpha) / (s * (s + 2.0))
+        b = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s * s * (s + 1.0) * (s - 1.0))
+    # k = 0 and k = 1 in their cancelled forms (0/0 above when ab is 0 or -1)
+    a[0] = (beta - alpha) / (ab + 2.0)
+    b[0] = 0.0
+    b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    return a[:order], np.sqrt(b)
+
+
+def _gauss_jacobi(order: int, alpha: float, beta: float):
+    """Gauss nodes and weights for (1-x)^alpha (1+x)^beta by Newton's method.
+
+    The nodes start at Chebyshev-like angles with Gatteschi's correction,
+    theta_k = phi_k + ((1/4 - alpha^2) cot(phi_k/2) - (1/4 - beta^2) tan(phi_k/2))
+    / (4 rho^2), phi_k = (k + alpha/2 - 1/4) pi / rho, rho = order + (alpha +
+    beta + 1)/2.  Each sweep runs the orthonormal three-term recurrence at
+    all nodes at once for p_N and p_{N-1} (N = order), and the Jacobi
+    identity (1 - x^2) p_N' = (u - N x) p_N + v p_{N-1} gives the Newton
+    step.  The weights are mass / K with the Christoffel sum
+    K = sum_{k < N} p_k^2 (the p_k scaled so that p_0 = 1), taken at the
+    exact root: the last Newton correction dx, below the node's rounding,
+    enters through K'/K = ((alpha + beta + 2) x + alpha - beta) / (1 - x^2),
+    which the Jacobi differential equation gives at a root.  Near an
+    endpoint that ratio is about (alpha + 1)/(1 - x), so the correction
+    keeps endpoint weights accurate where the rounding of the node alone
+    would not.
+    """
+    a, s = _jacobi_recurrence(order, alpha, beta)
+    ab = alpha + beta
+    log_mass = (
+        (ab + 1.0) * math.log(2.0)
+        + math.lgamma(alpha + 1.0)
+        + math.lgamma(beta + 1.0)
+        - math.lgamma(ab + 2.0)
+    )
+    rho = order + 0.5 * (ab + 1.0)
+    phi = (np.arange(order, 0, -1) + 0.5 * alpha - 0.25) * (math.pi / rho)
+    half = 0.5 * phi
+    theta = phi + (
+        (0.25 - alpha * alpha) / np.tan(half) - (0.25 - beta * beta) * np.tan(half)
+    ) / (4.0 * rho * rho)
+    x = np.cos(theta)
+    u = order * (alpha - beta) / (2.0 * order + ab)
+    v = (2.0 * order + ab + 1.0) * s[order]
+    converged = False
+    for _ in range(50):  # 1-6 Newton sweeps suffice for every weight and order in use
+        p_prev, p = np.zeros_like(x), np.ones_like(x)
+        k_sum = np.zeros_like(x)
+        for k in range(order):
+            if converged:  # the weights need K only at the converged nodes
+                k_sum += p * p
+            p_prev, p = p, ((x - a[k]) * p - s[k] * p_prev) / s[k + 1]
+        sigma = 1.0 - x * x
+        dx = p * sigma / ((u - order * x) * p + v * p_prev)
+        if converged:
+            break
+        x = x - dx
+        converged = float(np.abs(dx).max()) < 1e-13
+    else:
+        raise QuadratureError(
+            f"Gauss-Jacobi nodes (order {order}, alpha {alpha}, beta {beta}) did not converge"
+        )
+    if not (np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0):
+        raise QuadratureError(
+            f"Gauss-Jacobi nodes (order {order}, alpha {alpha}, beta {beta}) are not separated"
+        )
+    k_slope = ((ab + 2.0) * x + alpha - beta) / sigma
+    return x, math.exp(log_mass) / (k_sum * (1.0 - k_slope * dx))
 
 
 @lru_cache(maxsize=None)
@@ -78,15 +165,20 @@ def _base_jacobi(order: int, alpha: float, beta: float):
     if order < 1:
         raise QuadratureError(f"rule order must be >= 1, got {order}")
     if alpha == beta == -0.5:
-        # Chebyshev-Gauss in closed form; cheaper and exact.
+        # Chebyshev-Gauss of the first kind in closed form
         k = np.arange(1, order + 1)
         x = np.cos((2.0 * k - 1.0) * np.pi / (2.0 * order))[::-1]
         w = np.full(order, np.pi / order)
         return x.copy(), w
-    if alpha == beta == 0.0:
-        x, w = np.polynomial.legendre.leggauss(order)
-        return x, w
-    x, w = roots_jacobi(order, alpha, beta)
+    if alpha == beta == 0.5:
+        # Chebyshev-Gauss of the second kind in closed form, x_k = cos(k pi / (order + 1))
+        # written as a sine of the angle from the equator so the nodes are exactly odd
+        y = (2.0 * np.arange(1, order + 1) - order - 1.0) * (np.pi / (2.0 * order + 2.0))
+        return np.sin(y), (np.pi / (order + 1)) * np.cos(y) ** 2
+    x, w = _gauss_jacobi(order, alpha, beta)
+    if alpha == beta:
+        # the weight is even: make the rule exactly symmetric
+        x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     return x, w
 
 

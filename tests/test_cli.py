@@ -45,6 +45,33 @@ def test_module_entry_point_emits_valid_json(tmp_path, subprocess_env):
     assert doc["branch"] == "zero_b"
 
 
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+import harmonic_schwarz
+from harmonic_schwarz import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_solving_cli_calls_never_load_scipy(tmp_path, subprocess_env):
+    # only the oracle's dual solve (verify, discretized_max*) imports SciPy
+    calls = [["bound", *MIXED], ["bound", *HEINZ], ["region", *MIXED, "--directions=8"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=subprocess_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["codes"] == [0, 0, 0]
+    assert doc["scipy"] == []
+
+
 def test_console_help_lists_the_subcommands(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])

@@ -1,7 +1,10 @@
 """Multiplier solves: moment systems, Jacobian structure, both branches."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import betaincinv
 
 from harmonic_schwarz import (
@@ -20,6 +23,7 @@ from harmonic_schwarz import (
     zonal_rule,
 )
 from harmonic_schwarz.bounds import axis_bound
+from harmonic_schwarz.solver import _BRENTQ_KW, _brentq
 
 
 def jump_latitude_oracle(n: int, a1: float) -> float:
@@ -288,3 +292,42 @@ def test_mass_increases_along_solved_path():
     masses = [lambda_path_point(spec, mu)[1] for mu in np.logspace(-2, 2, 7)]
     assert np.all(np.diff(masses) > 0)
     assert masses[-1] < np.sqrt(1.0 - 0.3**2 - 0.1**2)
+
+
+def _bracketed_residuals(kind, count=200, seed=5):
+    """Seeded increasing (f, lo, hi) with its root c strictly inside [lo, hi]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        c = float(rng.uniform(-1.0, 1.0))
+        lo, hi = c - float(rng.uniform(0.05, 3.0)), c + float(rng.uniform(0.05, 3.0))
+        if kind == "smooth":
+            shift = c + 0.5 * math.sin(c)
+            yield (lambda x, s=shift: x + 0.5 * math.sin(x) - s), lo, hi
+        elif kind == "tanh":
+            steep = 10.0 ** float(rng.uniform(0.0, 6.0))
+            yield (lambda x, c=c, k=steep: math.tanh(k * (x - c))), lo, hi
+        else:
+            p = float(rng.uniform(0.2, 5.0))
+            yield (lambda x, c=c, p=p: math.copysign(abs(x - c) ** p, x - c)), lo, hi
+
+
+@pytest.mark.parametrize("kind", ["smooth", "tanh", "power"])
+@pytest.mark.parametrize("kw", [_BRENTQ_KW, {}], ids=["solver_kw", "defaults"])
+def test_brentq_port_is_bit_identical_to_scipy(kind, kw):
+    for f, lo, hi in _bracketed_residuals(kind):
+        try:
+            expected = brentq(f, lo, hi, **kw)
+        except RuntimeError:  # scipy ran out of maxiter: so must the port
+            with pytest.raises(SolverError):
+                _brentq(f, lo, hi, **kw)
+        else:
+            assert _brentq(f, lo, hi, **kw) == expected
+
+
+def test_brentq_port_raises_solver_error():
+    with pytest.raises(SolverError):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)  # no sign change
+    with pytest.raises(SolverError):
+        _brentq(lambda x: math.tanh(1e6 * (x - 0.3)), 0.0, 1.0, **{**_BRENTQ_KW, "maxiter": 3})
+    with pytest.raises(SolverError):
+        _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)

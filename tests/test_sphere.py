@@ -1,5 +1,7 @@
 """Quadrature layer: zonal and biaxial reductions, Poisson kernel."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from harmonic_schwarz import (
     zonal_integrate,
     zonal_rule,
 )
+from harmonic_schwarz.sphere import _base_jacobi, _gauss_jacobi
 
 
 def symbolic_even_moment(n: int, k: int) -> float:
@@ -21,6 +24,56 @@ def symbolic_even_moment(n: int, k: int) -> float:
     for i in range(1, k + 1):
         value *= (2 * i - 1) / (n + 2 * i - 2)
     return value
+
+
+def jacobi_moments(alpha, beta, count):
+    """int_{-1}^{1} x^k (1-x)^alpha (1+x)^beta dx for k < count.
+
+    Integrating d/dx [x^k (1-x)^(alpha+1) (1+x)^(beta+1)] over [-1, 1] gives
+    (k + alpha + beta + 2) m_{k+1} = k m_{k-1} + (beta - alpha) m_k.
+    """
+    mass = math.exp(
+        (alpha + beta + 1.0) * math.log(2.0)
+        + math.lgamma(alpha + 1.0)
+        + math.lgamma(beta + 1.0)
+        - math.lgamma(alpha + beta + 2.0)
+    )
+    m = [mass, (beta - alpha) * mass / (alpha + beta + 2.0)]
+    for k in range(1, count - 1):
+        m.append((k * m[k - 1] + (beta - alpha) * m[k]) / (k + alpha + beta + 2.0))
+    return m[:count]
+
+
+# every weight a latitude rule uses: zonal (p, p) for n = 2..16, the one-sided
+# endpoint segments (p, 0) and (0, p), and Legendre (0, 0) for interior segments
+JACOBI_WEIGHTS = sorted(
+    {(0.5 * (n - 3), 0.5 * (n - 3)) for n in range(2, 17)}
+    | {(0.5 * (n - 3), 0.0) for n in range(2, 17)}
+    | {(0.0, 0.5 * (n - 3)) for n in range(2, 17)}
+)
+
+
+@pytest.mark.parametrize("alpha,beta", JACOBI_WEIGHTS)
+def test_gauss_jacobi_rules(alpha, beta):
+    for order in (1, 2, 3, 8, 64, 512):
+        x, w = _base_jacobi(order, alpha, beta)
+        assert x.shape == w.shape == (order,)
+        assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+        assert np.all(w > 0.0)
+        moments = jacobi_moments(alpha, beta, 2 * min(order, 8))
+        assert w.sum() == pytest.approx(moments[0], rel=1e-14)
+        if order <= 8:
+            for k in range(1, 2 * order):
+                assert w @ x**k == pytest.approx(moments[k], rel=1e-13, abs=1e-14 * moments[0])
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5])
+def test_newton_rule_matches_chebyshev_closed_forms(alpha):
+    # _base_jacobi takes these two weights from their closed forms
+    x, w = _gauss_jacobi(512, alpha, alpha)
+    x_ref, w_ref = _base_jacobi(512, alpha, alpha)
+    np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-11)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 11])
