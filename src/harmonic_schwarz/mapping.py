@@ -24,6 +24,7 @@ rules as breakpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -98,23 +99,23 @@ class MapEvaluation:
 
 
 def _positive_profiles(spec: ProblemSpec, sol: LagrangeSolution, sign: int):
+    # u = (g l - lam) / |(g l - lam, mu)|, v = mu / |(g l - lam, mu)|, formed
+    # without dividing by mu so that tiny mu neither over- nor underflows
     lam, mu = sol.lam, sol.mu
-    tail = -lam[1:] / mu
-    c2 = float(tail @ tail)
+    scale = math.hypot(mu, *lam[1:])
     r, n = spec.r, spec.n
 
     def inv_den(t):
-        a1 = (kernel_profile(r, n, t) - lam[0]) / mu
-        return 1.0 / np.sqrt(1.0 + c2 + a1 * a1)
+        return 1.0 / np.hypot(kernel_profile(r, n, t) - lam[0], scale)
 
     def first(t):
-        a1 = (kernel_profile(r, n, t) - lam[0]) / mu
-        return a1 / np.sqrt(1.0 + c2 + a1 * a1)
+        d = kernel_profile(r, n, t) - lam[0]
+        return d / np.hypot(d, scale)
 
     u_profiles = [first]
     for j in range(1, spec.m):
-        u_profiles.append(lambda t, cj=tail[j - 1]: cj * inv_den(t))
-    v_profile = (lambda t: sign * inv_den(t)) if sign < 0 else inv_den
+        u_profiles.append(lambda t, lj=-lam[j]: lj * inv_den(t))
+    v_profile = lambda t, s=sign * mu: s * inv_den(t)
     return tuple(u_profiles), v_profile
 
 
@@ -127,16 +128,15 @@ def _zero_profiles(spec: ProblemSpec, sol: LagrangeSolution):
         u_profiles = [lambda t: np.sign(np.asarray(t, dtype=float) - t_star)]
         u_profiles.extend([zero] * (spec.m - 1))
         return tuple(u_profiles), zero, (t_star,)
-    w2 = float(tail @ tail)
+    w = math.hypot(*tail)
     r, n = spec.r, spec.n
 
     def first(t):
         acal1 = kernel_profile(r, n, t) - lam[0]
-        return acal1 / np.sqrt(w2 + acal1 * acal1)
+        return acal1 / np.hypot(acal1, w)
 
     def inv_norm(t):
-        acal1 = kernel_profile(r, n, t) - lam[0]
-        return 1.0 / np.sqrt(w2 + acal1 * acal1)
+        return 1.0 / np.hypot(kernel_profile(r, n, t) - lam[0], w)
 
     u_profiles = [first]
     for j in range(1, spec.m):

@@ -20,26 +20,38 @@ through a field that is affine in g along the first coordinate:
   Acal(omega) = g(t) * l - lam and the single condition
   Rcal(lam) = int Acal / |Acal| dsigma = a.
 
-Both systems collapse to two scalar unknowns.  For j >= 2 the field
-component A_j = -lam_j / mu is constant over the sphere, so
-R_j = (-lam_j / mu) * I exactly and matching R_j = a_j forces
-lam_j = -mu * a_j / b; the remaining unknowns are (lam_1, mu).  The same
-factorization with J = int dsigma / |Acal| gives lam_j = -a_j / J on the
-b = 0 branch.  The solver therefore runs a damped Newton iteration on
-the reduced pair, with a bracketing fallback that exploits the proven
-monotone structure (R_1 strictly decreasing in lam_1; I strictly
-increasing in mu along the solved path), which makes convergence
-unconditional.  Small b forces small mu and the datum then turns over
-inside a thin latitude layer no fixed Gauss rule resolves; the moment
-quadrature is segmented geometrically around the turnover and the solve
-repeated until a partition built at the candidate root confirms the
-moments.  Negative b is never solved directly: callers flip the
-sign of the last target coordinate and negate the matching component of
-the map afterwards.
+Both systems are the optimality conditions of one convex dual.  The
+datum is the unit vector of (g(t) l - lam, mu) (mu = 0 when b = 0), and
+its multipliers minimize
+
+    q(lam, mu) = lam . a - mu b + int |(g l - lam, mu)| dsigma.
+
+q is invariant under rotations of (lam_2..lam_m, mu) that rotate
+(a_2..a_m, b) along, so only c1 = a_1 and rho = |(a_2..a_m, b)| matter.
+With x = lam_1, y = |(lam_2..lam_m, mu)| and d = g(t) - x the solver
+minimizes
+
+    q(x, y) = x (c1 - 1) - y rho + int (sqrt(d^2 + y^2) - d) dsigma,
+
+where the term -x is exact (int g dsigma = 1 / (1 - r^2)) and keeps the
+integrand bounded as r -> 1.  The gradient (c1 - R_1, y J - rho),
+J = int dsigma / R, is the moment residual and the Hessian has three
+latitude integrals, so one damped Newton iteration with an Armijo line
+search covers both branches and ``lambda_path_point`` (which holds mu
+fixed as an extra field component).  Its minimizer rotates back to
+lam_j = -y a_j / rho and mu = y b / rho.  The rho = 0 face is solved
+apart: the datum is then sign(t - t*) and t* fixes the cap mass.  Small
+rho makes the datum turn over inside a thin latitude layer around the
+crossing g(t) = x that no fixed Gauss rule resolves, so every iterate
+integrates on the rule segmented geometrically around its own crossing.
+Negative b is never solved directly: callers flip the sign of the last
+target coordinate and negate the matching component of the map
+afterwards.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +60,8 @@ from .errors import SolverError
 from .sphere import (
     DEFAULT_ORDER,
     QuadratureRule,
+    _segment_rule,
+    _zonal_constant,
     segmented_nodes,
     zonal_integrate,
     zonal_rule,
@@ -55,8 +69,6 @@ from .sphere import (
 
 MAX_DIMENSION = 16
 MAX_TARGET_DIM = 8
-
-_BRENTQ_KW = dict(xtol=1e-30, rtol=9e-16, maxiter=300)
 
 # glibc's malloc raises its mmap and trim thresholds to the size of the first
 # large block it unmaps.  Until that happens, the ~180 KB temporaries of the
@@ -102,6 +114,8 @@ class ProblemSpec:
         a = np.ascontiguousarray(np.atleast_1d(np.asarray(self.a, dtype=float)))
         if a.shape != (self.m,):
             raise ValueError(f"a must have shape ({self.m},), got {a.shape}")
+        if not (np.all(np.isfinite(a)) and math.isfinite(self.b)):
+            raise ValueError(f"center value must be finite, got a={a}, b={self.b}")
         norm2 = float(a @ a) + float(self.b) ** 2
         if norm2 >= 1.0:
             raise ValueError(
@@ -119,7 +133,8 @@ class LagrangeSolution:
 
     ``mu`` is None on the b = 0 branch, ``jump_point`` is the latitude
     of the sign jump and is only set when that branch degenerates to
-    two-valued data (zero multiplier tail).  ``breakpoints`` lists the
+    two-valued data (zero multiplier tail).  ``iterations`` counts
+    evaluations of the reduced dual, or of the cap mass on that face.  ``breakpoints`` lists the
     graded latitude partition used to resolve a thin transition layer of
     the datum (empty for well-resolved solutions); quadratures of the
     datum must be segmented there to see the layer.
@@ -192,11 +207,6 @@ def _layer_breakpoints(spec: ProblemSpec, lam1: float, scale: float) -> tuple:
     if eps >= 0.05:
         return ()
     return _graded_partition(t_star, max(8.0 * eps, 1e-12))
-
-
-def _segment_quadrature(rule: QuadratureRule, breaks: tuple) -> QuadratureRule:
-    t, w = segmented_nodes(rule, breaks)
-    return QuadratureRule(n=rule.n, nodes=t, weights=w)
 
 
 def field_A(spec: ProblemSpec, lam, mu: float, t):
@@ -337,174 +347,8 @@ def moments_Rcal(
 
 
 # --------------------------------------------------------------------------
-# reduced scalar systems
+# the reduced dual
 # --------------------------------------------------------------------------
-
-
-def _axis_moments(g, w, lam1, mu, c2):
-    """R_1 and I for a field with constant tail norm sqrt(c2)."""
-    a1 = (g - lam1) / mu
-    den = np.sqrt(1.0 + c2 + a1 * a1)
-    return float(w @ (a1 / den)), float(w @ (1.0 / den))
-
-
-def _bracket_decreasing(fun, lo, hi, grow, max_expand=80):
-    """Expand [lo, hi] until fun(lo) > 0 > fun(hi); fun is decreasing."""
-    f_lo, f_hi = fun(lo), fun(hi)
-    expansions = 0
-    while f_lo <= 0.0:
-        lo, hi = grow(lo, -1), hi
-        f_lo = fun(lo)
-        expansions += 1
-        if expansions > max_expand:
-            raise SolverError("failed to bracket the decreasing residual from below")
-    expansions = 0
-    while f_hi >= 0.0:
-        hi = grow(hi, +1)
-        f_hi = fun(hi)
-        expansions += 1
-        if expansions > max_expand:
-            raise SolverError("failed to bracket the decreasing residual from above")
-    return lo, hi
-
-
-def _brentq(f, xa, xb, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
-    """Root of f on [xa, xb] by the Brent-Dekker iteration.
-
-    A step-for-step port of the iteration behind ``scipy.optimize.brentq``,
-    with the same meaning of ``xtol``, ``rtol`` (default 4 eps) and
-    ``maxiter``, so it returns the same root bit for bit.  Each step tries
-    inverse quadratic or secant interpolation and falls back to bisection
-    when that step would not shrink the bracket fast enough; the iteration
-    stops when half the bracket is below (xtol + rtol |x|) / 2.  Raises
-    ``SolverError`` when f(xa) and f(xb) have the same sign, when f
-    returns NaN, or when ``maxiter`` steps do not converge.
-    """
-
-    def call(x):
-        fx = f(x)
-        if fx != fx:
-            raise SolverError(f"residual is NaN at x={x!r}")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise SolverError(f"residual has the same sign at both ends of [{xa!r}, {xb!r}]")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            # keep the best estimate in xcur, the other bracket end in xblk
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise SolverError(f"root not converged after {maxiter} iterations", iterations=maxiter)
-
-
-class _EvalCounter:
-    def __init__(self):
-        self.count = 0
-
-
-def _solve_lambda1(g, w, mu, c2, target, counter: _EvalCounter, start=None) -> float:
-    """Unique root of R_1(lam1) = target at fixed (mu, c2); R_1 is strictly
-    decreasing in lam1 and spans (-1, 1).
-
-    Without ``start`` the bracket spans the kernel range.  With it (a
-    nearby root, e.g. at the previous mu) the bracket grows outward from
-    start +- scale in steps of x4, so Brent starts on a bracket about as
-    wide as the datum's turnover layer.
-    """
-
-    def resid(lam1):
-        counter.count += 1
-        return _axis_moments(g, w, lam1, mu, c2)[0] - target
-
-    scale = max(mu * np.sqrt(1.0 + c2), 1e-6)
-    if start is None:
-        g_lo, g_hi = float(g.min()), float(g.max())
-        lo, hi = g_lo - scale, g_hi + scale
-
-        def grow(x, side):
-            if side < 0:
-                return g_lo - 2.0 * max(g_lo - x, scale)
-            return g_hi + 2.0 * max(x - g_hi, scale)
-
-    else:
-        lo, hi = start - scale, start + scale
-
-        def grow(x, side):
-            return start + 4.0 * (x - start)
-
-    lo, hi = _bracket_decreasing(resid, lo, hi, grow)
-    return _brentq(resid, lo, hi, **_BRENTQ_KW)
-
-
-def _positive_b_fallback(spec, g, w, c2, counter):
-    """Nested bracketing solve: inner lam_1, outer mu.
-
-    I evaluated at the inner-solved lam_1 is strictly increasing in mu
-    and sweeps (0, sqrt(1 - a_1^2) / sqrt(1 + c2)), which contains the
-    target b whenever the center value is admissible, so the outer
-    bracket always exists.
-    """
-    a1, b = float(spec.a[0]), spec.b
-    lam1 = None  # warm start of each inner solve: the latest outer iterate's lam_1
-
-    def phi(mu):
-        nonlocal lam1
-        lam1 = _solve_lambda1(g, w, mu, c2, a1, counter, start=lam1)
-        counter.count += 1
-        return lam1, _axis_moments(g, w, lam1, mu, c2)[1] - b
-
-    lo, hi = 1.0, 1.0
-    f_lo, f_hi = phi(lo)[1], phi(hi)[1]
-    expansions = 0
-    while f_lo >= 0.0:
-        lo *= 0.125
-        f_lo = phi(lo)[1]
-        expansions += 1
-        if expansions > 80:
-            raise SolverError("failed to bracket mu from below")
-    expansions = 0
-    while f_hi <= 0.0:
-        hi *= 8.0
-        f_hi = phi(hi)[1]
-        expansions += 1
-        if expansions > 80:
-            raise SolverError("failed to bracket mu from above")
-    mu = _brentq(lambda x: phi(x)[1], lo, hi, **_BRENTQ_KW)
-    lam1 = _solve_lambda1(g, w, mu, c2, a1, counter, start=lam1)
-    return lam1, mu
 
 
 def _conditioning_warnings(spec: ProblemSpec) -> list[str]:
@@ -523,221 +367,180 @@ def _conditioning_warnings(spec: ProblemSpec) -> list[str]:
     return out
 
 
-def _newton_positive(spec, rule, c2, tail_slope, chain, lam1, mu, max_iter, counter):
-    """Damped Newton for the reduced pair on one quadrature rule.
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"need a finite tol > 0, got tol={tol}")
 
-    Falls back to the monotone nested bracketing when a step fails to
-    reduce the residual, or when backtracking keeps inching forward
-    without converging (extreme mu scales do this), so the iteration
-    cannot diverge.
+
+def _check_residual(residual: float, tol: float, evaluations: int) -> None:
+    if not residual < tol:
+        raise SolverError(
+            f"moment solve stalled at residual {residual:.3e} (tol {tol:.1e})",
+            residual=residual,
+            iterations=evaluations,
+        )
+
+
+def _face_crossing(n: int, order: int, c1: float):
+    """Latitude t* with Rcal_1 = sigma{t > t*} - sigma{t < t*} = c1.
+
+    This is the optimum of the dual's rho = 0 face, where the datum is
+    the sign of t - t*.  Newton in t, guarded by bisection; the
+    derivative is twice the latitude density c_n (1 - t^2)^{(n-3)/2}.
+    Each cap mass is one Gauss rule mapped onto the cap, so the jump
+    costs no accuracy.  Returns (t*, evaluations).
     """
-    g = kernel_profile(spec.r, spec.n, rule.nodes)
-    w = rule.weights
-    target = np.array([float(spec.a[0]), spec.b])
-
-    def assemble(l1, m_):
-        return np.concatenate(([l1], tail_slope * m_))
-
-    def residual_pair(l1, m_):
-        counter.count += 1
-        r1, vi = _axis_moments(g, w, l1, m_, c2)
-        return np.array([r1, vi]) - target
-
-    res = residual_pair(lam1, mu)
-    used_fallback = False
-    for _ in range(max_iter):
-        if float(np.abs(res).max()) < 1e-13:
+    density, p = 2.0 * _zonal_constant(n), 0.5 * (n - 3)
+    lo, hi = -1.0, 1.0
+    t = -c1  # exact at n = 3, where the density is flat
+    for evaluations in range(1, 100):
+        above = float(_segment_rule(n, order, t, 1.0)[1].sum())
+        below = float(_segment_rule(n, order, -1.0, t)[1].sum())
+        excess = above - below - c1
+        if excess == 0.0:
             break
-        full_jac = jacobian_RI(spec, assemble(lam1, mu), mu, rule)
-        red_jac = full_jac[[0, spec.m], :] @ chain
+        if excess > 0.0:
+            lo = t
+        else:
+            hi = t
+        step = excess / (density * (1.0 - t * t) ** p)
+        if abs(step) <= 1e-15:
+            break
+        nxt = t + step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        t = nxt
+    return t, evaluations
+
+
+def _dual_terms(spec: ProblemSpec, rule: QuadratureRule, c1, rho, f, x, y):
+    """q, gradient, Hessian and int dsigma/R of the reduced dual at (x, y).
+
+    The rule is the given one segmented by the graded partition at the
+    crossing g(t) = x, rebuilt for every iterate; its breakpoints come
+    last.  Everything is formed from R and the datum's unit vector
+    (d, y, f) / R, so neither cancellation across the crossing nor
+    under- or overflow at tiny y enters.
+    """
+    s = math.hypot(y, f)
+    breaks = _layer_breakpoints(spec, x, s)
+    t, w = segmented_nodes(rule, breaks)
+    d = kernel_profile(spec.r, spec.n, t) - x
+    big_r = np.hypot(d, s)
+    inv = 1.0 / big_r
+    u, v, z = d * inv, y * inv, f * inv
+    excess = big_r - d
+    ahead = d > 0.0
+    excess[ahead] = s * (s / (big_r[ahead] + d[ahead]))
+    s0 = float(w @ inv)
+    wi = w * inv
+    h12 = float(wi @ (u * v))
+    hess = np.array([[float(wi @ (v * v + z * z)), h12], [h12, float(wi @ (u * u + z * z))]])
+    grad = np.array([c1 - float(w @ u), y * s0 - rho])
+    q = x * (c1 - 1.0) - y * rho + float(w @ excess)
+    return q, grad, hess, s0, breaks
+
+
+def _minimize_dual(spec, rule, perp, f, tol, x, y=None):
+    """Minimize the reduced dual of the center (a_1, perp) from (x, y).
+
+    rho = |perp| and y defaults to rho x.  Damped Newton with Armijo
+    backtracking on q; a step may shrink y to no less than a tenth, so y
+    stays positive and still walks down to the tiny optimum of
+    near-degenerate centers.  Once q no longer resolves the step
+    (alpha * decrement below 1e-12 |q|; at b ~ 1e-9 q moves by ~1e-18) a
+    decrease of the largest gradient entry is accepted instead.  Stops
+    when that entry is below min(tol, 1e-13) or no step makes progress.
+    The moment residual of the full system is the gradient, with the
+    y-entry spread over perp as perp_j / rho.  Returns (x, y, the terms
+    at (x, y), residual, evaluations); raises ``SolverError`` unless the
+    residual is below tol.
+    """
+    c1 = float(spec.a[0])
+    rho = math.hypot(*perp)
+    if y is None:
+        y = rho * x
+    terms = _dual_terms(spec, rule, c1, rho, f, x, y)
+    evaluations = 1
+    for _ in range(100):
+        q, grad, hess = terms[:3]
+        size = float(np.abs(grad).max())
+        if size <= min(tol, 1e-13):
+            break
         try:
-            step = np.linalg.solve(red_jac, -res)
+            step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            step = None
-        moved = False
-        if step is not None and np.all(np.isfinite(step)):
-            alpha = 1.0
-            for _ in range(30):
-                cand = (lam1 + alpha * step[0], mu + alpha * step[1])
-                if cand[1] > 0.0:
-                    cand_res = residual_pair(*cand)
-                    if float(np.abs(cand_res).max()) < float(np.abs(res).max()):
-                        lam1, mu = cand
-                        res = cand_res
-                        moved = True
-                        break
-                alpha *= 0.5
-        if not moved:
-            lam1, mu = _positive_b_fallback(spec, g, w, c2, counter)
-            res = residual_pair(lam1, mu)
-            used_fallback = True
             break
-    else:
-        if float(np.abs(res).max()) >= 1e-13:
-            lam1, mu = _positive_b_fallback(spec, g, w, c2, counter)
-            res = residual_pair(lam1, mu)
-            used_fallback = True
-    if used_fallback:
-        # a couple of Newton polish steps from the bracketed root
-        for _ in range(3):
-            full_jac = jacobian_RI(spec, assemble(lam1, mu), mu, rule)
-            red_jac = full_jac[[0, spec.m], :] @ chain
-            step = np.linalg.solve(red_jac, -res)
-            cand = (lam1 + step[0], mu + step[1])
-            if cand[1] <= 0.0:
+        decrement = -float(grad @ step)
+        if not decrement > 0.0:
+            break
+        alpha = 1.0 if step[1] >= 0.0 else min(1.0, 0.9 * y / -step[1])
+        for _ in range(30):
+            cand = _dual_terms(spec, rule, c1, rho, f, x + alpha * step[0], y + alpha * step[1])
+            evaluations += 1
+            if cand[0] <= q - 1e-4 * alpha * decrement:
                 break
-            cand_res = residual_pair(*cand)
-            if float(np.abs(cand_res).max()) >= float(np.abs(res).max()):
+            if alpha * decrement < 1e-12 * abs(q) and float(np.abs(cand[1]).max()) < size:
                 break
-            lam1, mu = cand
-            res = cand_res
-    return lam1, mu
+            alpha *= 0.5
+        else:
+            break
+        x, y, terms = x + alpha * step[0], y + alpha * step[1], cand
+    spread = float(np.abs(perp).max()) / rho if rho > 0.0 else 0.0
+    residual = float(max(abs(terms[1][0]), abs(terms[1][1]) * spread))
+    _check_residual(residual, tol, evaluations)
+    return x, y, terms, residual, evaluations
 
 
-def _turnover_estimate(spec: ProblemSpec, rule: QuadratureRule) -> float | None:
-    """Latitude of the datum turnover in the b -> 0 limit.
-
-    The positive branch converges to the b = 0 datum as b drops, and the
-    degenerate solver locates that datum's jump or kink latitude without
-    any layer trouble (it integrates a sign function with an explicit
-    breakpoint).  Deep grading around this estimate sidesteps the
-    staircase pseudo-roots that appear when the layer sits far below the
-    node resolution: the estimate is off by a bounded multiple of the
-    layer width, which graded panels tolerate.
-    """
-    try:
-        zero = solve_zero_b(ProblemSpec(spec.n, spec.m, spec.r, spec.a, 0.0), rule)
-    except (SolverError, ValueError):
-        return None
-    if zero.jump_point is not None:
-        return float(zero.jump_point)
-    lam1 = float(zero.lam[0])
-    r, n = spec.r, spec.n
-    if kernel_profile(r, n, -1.0) < lam1 < kernel_profile(r, n, 1.0):
-        return kernel_inverse(r, n, lam1)
-    return None
+def _face_level(spec: ProblemSpec, rule: QuadratureRule) -> float:
+    """Kernel level g(t*) at the rho = 0 optimum: the dual's starting x."""
+    t_star = _face_crossing(spec.n, rule.order, float(spec.a[0]))[0]
+    return float(kernel_profile(spec.r, spec.n, t_star))
 
 
 def solve_positive_b(
     spec: ProblemSpec,
     rule: QuadratureRule | None = None,
     tol: float = 1e-10,
-    max_iter: int = 80,
     x0: tuple[float, float] | None = None,
 ) -> LagrangeSolution:
     """Solve R(lam, mu) = a, I(lam, mu) = b for b > 0.
 
-    Damped Newton on the reduced pair (lam_1, mu) with the analytic
-    Jacobian, started at lam_1 = g(0), mu = 1 unless ``x0`` overrides
-    it, safeguarded by the monotone bracketing fallback.  The returned
-    residual is measured on the full (m+1)-dimensional system with a
-    rule that resolves the datum's transition layer: small b forces
-    small mu, and the layer then drops below what any fixed Gauss rule
-    sees, so the solve is repeated on graded segmentations (centered
-    first at the candidate root, then at the b = 0 turnover latitude)
-    until a partition built at the accepted root confirms the moments.
+    Minimizes the reduced dual in (x, y) = (lam_1, |(lam_2..lam_m, mu)|)
+    by damped Newton, started at the rho = 0 optimum x = g(t*),
+    y = rho x unless ``x0`` = (lam_1, mu) overrides it, and rotates the
+    minimizer back: mu = y (b / rho), lam_j = -mu a_j / b.  The residual is
+    that of the full (m+1)-dimensional moment system, on the rule
+    segmented at the datum's turnover layer (``breakpoints``), which
+    small b makes arbitrarily thin.
     """
     if spec.b <= 0.0:
         raise ValueError(f"positive branch requires b > 0, got b={spec.b}")
+    _check_tol(tol)
     if rule is None:
         rule = zonal_rule(spec.n, DEFAULT_ORDER)
-    warnings = _conditioning_warnings(spec)
-    a_tail = spec.a[1:]
-    tail_slope = -a_tail / spec.b  # lam_j = tail_slope_j * mu
-    c2 = float(a_tail @ a_tail) / spec.b**2
-    counter = _EvalCounter()
-
+    perp = np.append(spec.a[1:], spec.b)
+    rho = math.hypot(*perp)
     if x0 is None:
-        lam1, mu = float(kernel_profile(spec.r, spec.n, 0.0)), 1.0
+        x, y = _face_level(spec, rule), None
     else:
-        lam1, mu = float(x0[0]), float(x0[1])
+        x, mu = float(x0[0]), float(x0[1])
         if mu <= 0.0:
             raise ValueError(f"initial mu must be positive, got {mu}")
-
-    # chain-rule collapse of the full Jacobian onto (lam_1, mu)
-    chain = np.zeros((spec.m + 1, 2))
-    chain[0, 0] = 1.0
-    chain[1 : spec.m, 1] = tail_slope
-    chain[spec.m, 1] = 1.0
-
-    def attempt(rule_k, l1, m_):
-        l1, m_ = _newton_positive(
-            spec, rule_k, c2, tail_slope, chain, l1, m_, max_iter, counter
-        )
-        lam_k = np.concatenate(([l1], tail_slope * m_))
-        breaks_k = _layer_breakpoints(spec, l1, m_ * np.sqrt(1.0 + c2))
-        check = _segment_quadrature(rule, breaks_k) if breaks_k else rule
-        moments_k, vi = moments_RI(spec, lam_k, m_, check)
-        resid = max(float(np.abs(moments_k - spec.a).max()), abs(vi - spec.b))
-        return l1, m_, lam_k, breaks_k, check, resid
-
-    first_error = None
-    try:
-        lam1, mu, lam, breaks, check_rule, residual = attempt(rule, lam1, mu)
-    except SolverError as exc:
-        # sub-resolution layers can pin lam1 onto a node where no mu
-        # brackets the mass; treat exactly like an unconverged attempt
-        first_error = exc
-        lam, breaks, check_rule, residual = None, (), rule, np.inf
-    if residual >= tol and (breaks or first_error is not None):
-        # thin layer: re-anchor on a deep partition at the b = 0
-        # turnover, then relocate onto partitions built at the root
-        t_est = _turnover_estimate(spec, rule)
-        stages = []
-        if t_est is not None:
-            deep = _segment_quadrature(rule, _graded_partition(t_est, 1e-13))
-            start = (float(kernel_profile(spec.r, spec.n, t_est)), 1.0)
-            stages.append((deep, start))
-        stages.extend([(None, None)] * 2)  # relocations at the latest root
-        for rule_k, start in stages:
-            if rule_k is None:
-                if not breaks:
-                    break
-                rule_k, start = check_rule, (lam1, mu)
-            try:
-                lam1, mu, lam, breaks, check_rule, residual = attempt(rule_k, *start)
-            except SolverError:
-                continue  # staircase pseudo-root deadlock; try the next stage
-            if residual < tol:
-                break
-    if residual < tol:
-        return LagrangeSolution(
-            branch="positive_b",
-            lam=lam,
-            mu=float(mu),
-            residual=residual,
-            iterations=counter.count,
-            breakpoints=breaks,
-            warnings=tuple(warnings),
-        )
-    if first_error is not None and not np.isfinite(residual):
-        raise first_error
-    raise SolverError(
-        f"moment solve stalled at residual {residual:.3e} (tol {tol:.1e})",
+        y = mu * (rho / spec.b)
+    x, y, terms, residual, evaluations = _minimize_dual(spec, rule, perp, 0.0, tol, x, y)
+    mu = y * (spec.b / rho)
+    return LagrangeSolution(
+        branch="positive_b",
+        lam=np.concatenate(([x], (-spec.a[1:] / spec.b) * mu)),
+        mu=mu,
         residual=residual,
-        iterations=counter.count,
+        iterations=evaluations,
+        breakpoints=terms[4],
+        warnings=tuple(_conditioning_warnings(spec)),
     )
-
-
-def _zero_b_axis(g, w, lam1, w2):
-    """Rcal_1 and J = int dsigma/|Acal| for constant tail norm sqrt(w2) > 0."""
-    acal1 = g - lam1
-    den = np.sqrt(w2 + acal1 * acal1)
-    return float(w @ (acal1 / den)), float(w @ (1.0 / den))
-
-
-def _jump_latitude(rule: QuadratureRule, a1: float, counter: _EvalCounter) -> float:
-    """Latitude t* with int sign(t - t*) dsigma = a1; the jump is handed
-    to the rule as a breakpoint, so the moment is exact per evaluation."""
-
-    def resid(t_star):
-        counter.count += 1
-        return (
-            zonal_integrate(rule, lambda t: np.sign(t - t_star), breakpoints=[t_star])
-            - a1
-        )
-
-    return _brentq(resid, -1.0 + 1e-13, 1.0 - 1e-13, **_BRENTQ_KW)
 
 
 def solve_zero_b(
@@ -747,162 +550,56 @@ def solve_zero_b(
 ) -> LagrangeSolution:
     """Solve Rcal(lam) = a on the degenerate branch b = 0.
 
-    With a vanishing multiplier tail the datum is a two-valued latitude
-    sign function and the single unknown is the jump latitude, found by
-    bisection with the jump supplied to the rule as a breakpoint.  With
-    a nonvanishing tail the datum is smooth and the unknowns reduce to
-    (lam_1, |tail|), solved by nested bracketing.  A small tail bends
-    the datum over a thin kink layer the plain rule cannot see, so as on
-    the positive branch the solve is repeated on graded segmentations
-    (anchored at the vanishing-tail jump latitude, then at the candidate
-    roots) until one of them confirms the moments.
+    With a vanishing multiplier tail (rho = 0) the datum is a two-valued
+    latitude sign function and the single unknown is its jump latitude
+    ``jump_point``, the crossing of the dual's rho = 0 face.  Otherwise
+    the reduced dual is minimized as on the positive branch and
+    lam_j = -y a_j / rho; a small tail bends the datum over a thin kink
+    layer, resolved by the graded ``breakpoints``.
     """
     if spec.b != 0.0:
         raise ValueError(f"zero branch requires b = 0, got b={spec.b}")
+    _check_tol(tol)
     if rule is None:
         rule = zonal_rule(spec.n, DEFAULT_ORDER)
     warnings = []
-    norm_a = float(np.linalg.norm(spec.a))
-    if 1.0 - norm_a < 1e-6:
+    if 1.0 - float(np.linalg.norm(spec.a)) < 1e-6:
         warnings.append(
             "|a| is within 1e-06 of the sphere; multipliers are boundary-adjacent"
         )
-    a1 = float(spec.a[0])
-    a_tail = spec.a[1:]
-    tail_norm = float(np.linalg.norm(a_tail))
-    r, n = spec.r, spec.n
-    counter = _EvalCounter()
-
-    if tail_norm == 0.0:
-        t_star = _jump_latitude(rule, a1, counter)
-        lam = np.zeros(spec.m)
-        lam[0] = kernel_profile(r, n, t_star)
-        moments = moments_Rcal(spec, lam, rule)
-        residual = float(np.abs(moments - spec.a).max())
-        if not residual < tol:
-            raise SolverError(
-                f"jump-latitude solve stalled at residual {residual:.3e}",
-                residual=residual,
-                iterations=counter.count,
-            )
+    lam = np.zeros(spec.m)
+    rho = math.hypot(*spec.a[1:])
+    if rho == 0.0:
+        t_star, evaluations = _face_crossing(spec.n, rule.order, float(spec.a[0]))
+        lam[0] = kernel_profile(spec.r, spec.n, t_star)
+        residual = float(np.abs(moments_Rcal(spec, lam, rule) - spec.a).max())
+        _check_residual(residual, tol, evaluations)
         return LagrangeSolution(
             branch="zero_b",
             lam=lam,
             mu=None,
             residual=residual,
-            iterations=counter.count,
+            iterations=evaluations,
             jump_point=float(t_star),
             warnings=tuple(warnings),
         )
-
-    if tail_norm < 1e-4:
+    if rho < 1e-4:
         warnings.append(
             "|tail of a| below 1e-04: the datum is close to the two-valued "
             "degenerate one and quadrature accuracy degrades"
         )
-
-    def smooth_solve(work_rule):
-        g = kernel_profile(r, n, work_rule.nodes)
-        w = work_rule.weights
-
-        def solve_lam1(w2):
-            def resid(lam1):
-                counter.count += 1
-                return _zero_b_axis(g, w, lam1, w2)[0] - a1
-
-            g_lo, g_hi = float(g.min()), float(g.max())
-            scale = max(np.sqrt(w2), 1e-6)
-
-            def grow(x, side):
-                if side < 0:
-                    return g_lo - 2.0 * max(g_lo - x, scale)
-                return g_hi + 2.0 * max(x - g_hi, scale)
-
-            lo, hi = _bracket_decreasing(resid, g_lo - scale, g_hi + scale, grow)
-            return _brentq(resid, lo, hi, **_BRENTQ_KW)
-
-        def mismatch(tail_field):
-            w2 = tail_field * tail_field
-            lam1 = solve_lam1(w2)
-            counter.count += 1
-            return lam1, tail_field * _zero_b_axis(g, w, lam1, w2)[1] - tail_norm
-
-        lo = hi = max(tail_norm, 1e-3)
-        f_lo = mismatch(lo)[1]
-        expansions = 0
-        while f_lo >= 0.0:
-            lo *= 0.25
-            f_lo = mismatch(lo)[1]
-            expansions += 1
-            if expansions > 80:
-                raise SolverError("failed to bracket the tail field from below")
-        f_hi = mismatch(hi)[1]
-        expansions = 0
-        while f_hi <= 0.0:
-            hi *= 4.0
-            f_hi = mismatch(hi)[1]
-            expansions += 1
-            if expansions > 80:
-                raise SolverError("failed to bracket the tail field from above")
-        tail_field = _brentq(lambda x: mismatch(x)[1], lo, hi, **_BRENTQ_KW)
-        lam1 = solve_lam1(tail_field * tail_field)
-        j_value = _zero_b_axis(g, w, lam1, tail_field * tail_field)[1]
-        return lam1, float(tail_field), j_value
-
-    def attempt(work_rule):
-        lam1_k, field_k, j_k = smooth_solve(work_rule)
-        lam_k = np.concatenate(([lam1_k], -a_tail / j_k))
-        breaks_k = _layer_breakpoints(spec, lam1_k, field_k)
-        moments_k = moments_Rcal(spec, lam_k, rule, breakpoints=breaks_k or None)
-        return lam_k, breaks_k, float(np.abs(moments_k - spec.a).max())
-
-    first_error = None
-    try:
-        lam, breaks, residual = attempt(rule)
-    except SolverError as exc:
-        # a kink layer thinner than the plain rule's node spacing can
-        # defeat the bracketing; the graded stages below still apply
-        first_error = exc
-        lam, breaks, residual = None, (), np.inf
-    if residual >= tol and (breaks or first_error is not None):
-        # thin kink layer (small tail): re-anchor on a deep partition at
-        # the vanishing-tail jump latitude, then relocate onto partitions
-        # built at the latest root until one of them confirms the moments
-        stages = []
-        try:
-            t_jump = _jump_latitude(rule, a1, counter)
-        except SolverError:
-            t_jump = None
-        if t_jump is not None:
-            stages.append(_segment_quadrature(rule, _graded_partition(t_jump, 1e-13)))
-        stages.extend([None] * 2)
-        for work in stages:
-            if work is None:
-                if not breaks:
-                    break
-                work = _segment_quadrature(rule, breaks)
-            try:
-                lam, breaks, residual = attempt(work)
-            except SolverError:
-                continue
-            if residual < tol:
-                break
-    if first_error is not None and not np.isfinite(residual):
-        raise first_error
-    if not residual < tol:
-        raise SolverError(
-            f"degenerate-branch solve stalled at residual {residual:.3e}",
-            residual=residual,
-            iterations=counter.count,
-        )
+    x, y, terms, residual, evaluations = _minimize_dual(
+        spec, rule, spec.a[1:], 0.0, tol, _face_level(spec, rule)
+    )
+    lam[0] = x
+    lam[1:] = -y * (spec.a[1:] / rho)
     return LagrangeSolution(
         branch="zero_b",
         lam=lam,
         mu=None,
         residual=residual,
-        iterations=counter.count,
-        jump_point=None,
-        breakpoints=breaks,
+        iterations=evaluations,
+        breakpoints=terms[4],
         warnings=tuple(warnings),
     )
 
@@ -912,46 +609,19 @@ def lambda_path_point(spec: ProblemSpec, mu: float, rule: QuadratureRule | None 
 
     Returns (lam, I).  Sweeping mu and recording I traces the solved
     manifold on which I is strictly increasing from 0 toward
-    sqrt(1 - |a|^2); the b-target ignores spec.b.
+    sqrt(1 - |a|^2); the b-target ignores spec.b.  This is the reduced
+    dual with mu as a fixed extra component of the field and
+    rho = |(a_2..a_m)|.
     """
     if not mu > 0.0:
         raise ValueError(f"need mu > 0, got mu={mu}")
     if rule is None:
         rule = zonal_rule(spec.n, DEFAULT_ORDER)
-    g = kernel_profile(spec.r, spec.n, rule.nodes)
-    w = rule.weights
-    a1 = float(spec.a[0])
-    a_tail = spec.a[1:]
-    tail_norm = float(np.linalg.norm(a_tail))
-    counter = _EvalCounter()
-    if tail_norm == 0.0:
-        lam1 = _solve_lambda1(g, w, mu, 0.0, a1, counter)
-        value_i = _axis_moments(g, w, lam1, mu, 0.0)[1]
-        lam = np.zeros(spec.m)
-        lam[0] = lam1
-        return lam, value_i
-
-    def mismatch(tail_field):
-        c2 = tail_field * tail_field
-        lam1 = _solve_lambda1(g, w, mu, c2, a1, counter)
-        return lam1, tail_field * _axis_moments(g, w, lam1, mu, c2)[1] - tail_norm
-
-    lo = hi = max(tail_norm, 1e-3)
-    f_lo = mismatch(lo)[1]
-    while f_lo >= 0.0:
-        lo *= 0.25
-        f_lo = mismatch(lo)[1]
-        if lo < 1e-300:
-            raise SolverError("failed to bracket the tail field from below")
-    f_hi = mismatch(hi)[1]
-    while f_hi <= 0.0:
-        hi *= 4.0
-        f_hi = mismatch(hi)[1]
-        if hi > 1e300:
-            raise SolverError("failed to bracket the tail field from above")
-    tail_field = _brentq(lambda x: mismatch(x)[1], lo, hi, **_BRENTQ_KW)
-    c2 = tail_field * tail_field
-    lam1 = _solve_lambda1(g, w, mu, c2, a1, counter)
-    value_i = _axis_moments(g, w, lam1, mu, c2)[1]
-    lam = np.concatenate(([lam1], -mu * (a_tail / tail_norm) * tail_field))
-    return lam, value_i
+    perp = spec.a[1:]
+    x, y, terms, _, _ = _minimize_dual(spec, rule, perp, mu, 1e-10, _face_level(spec, rule))
+    lam = np.zeros(spec.m)
+    lam[0] = x
+    rho = math.hypot(*perp)
+    if rho > 0.0:
+        lam[1:] = -y * (perp / rho)
+    return lam, float(mu * terms[3])

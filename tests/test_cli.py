@@ -116,6 +116,17 @@ def test_invalid_geometry_exits_with_code_two(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--a", "nan"], ["--b", "nan"], ["--a", "inf"], ["--tol", "nan"], ["--tol", "0"],
+     ["--tol", "-1"], ["--tol", "inf"]],
+)
+def test_non_finite_input_or_tolerance_exits_with_code_two(flags, capsys):
+    code, _, err = run(["bound", *HEINZ, *flags], capsys)  # the last occurrence wins
+    assert code == 2, flags
+    assert err.startswith("error:")
+
+
 def test_unreachable_tolerance_exits_with_code_three(capsys):
     code, _, err = run(["bound", *HEINZ, "--tol", "1e-30"], capsys)
     assert code == 3

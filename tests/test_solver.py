@@ -1,10 +1,11 @@
 """Multiplier solves: moment systems, Jacobian structure, both branches."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from hypothesis import given, settings, strategies as st
 from scipy.special import betaincinv
 
 from harmonic_schwarz import (
@@ -23,7 +24,6 @@ from harmonic_schwarz import (
     zonal_rule,
 )
 from harmonic_schwarz.bounds import axis_bound
-from harmonic_schwarz.solver import _BRENTQ_KW, _brentq
 
 
 def jump_latitude_oracle(n: int, a1: float) -> float:
@@ -41,6 +41,9 @@ def test_problem_spec_validation():
         ProblemSpec(n=2, m=2, r=0.5, a=np.zeros(1), b=0.0)
     with pytest.raises(ValueError):
         ProblemSpec(n=2, m=1, r=0.5, a=np.array([0.8]), b=0.6)  # |a|^2+b^2 = 1
+    for a, b in (([math.nan], 0.0), ([0.1], math.nan), ([math.inf], 0.0), ([0.1], -math.inf)):
+        with pytest.raises(ValueError):
+            ProblemSpec(n=2, m=1, r=0.5, a=np.array(a), b=b)
 
 
 def test_kernel_profile_range_and_value():
@@ -239,9 +242,10 @@ def test_solve_zero_b_nonzero_tail_residual():
 
 
 def test_solve_zero_b_tiny_tail_falls_through_to_the_graded_stages():
-    # with a 1e-5 tail the plain rule cannot bracket the tail field; the
-    # graded re-anchoring must still run and solve it.  The reference is
-    # the continuum dual minimized on polar-angle Gauss-Legendre panels.
+    # a 1e-5 tail bends the datum over a kink layer far below the plain
+    # rule's resolution; the solve must resolve it on graded panels.  The
+    # reference is the continuum dual minimized on polar-angle
+    # Gauss-Legendre panels.
     spec = ProblemSpec(n=2, m=2, r=0.3306646056060621, a=np.array([0.510286145368913, -1e-05]), b=0.0)
     sol = solve_zero_b(spec)
     assert sol.residual < 1e-8
@@ -271,8 +275,8 @@ def test_positive_b_conditioning_warnings():
 
 
 def test_small_b_solves_resolve_the_layer():
-    # small b drives mu below the plain rule's resolution; the graded
-    # re-solve must still meet the moment targets on its own partition
+    # small b drives mu below the plain rule's resolution; the solve must
+    # still meet the moment targets on its own graded partition
     for b in (1e-2, 1e-4, 1e-6):
         spec = ProblemSpec(n=3, m=2, r=0.6, a=np.array([0.25, -0.15]), b=b)
         sol = solve_positive_b(spec)
@@ -287,6 +291,14 @@ def test_solver_error_carries_residual():
     assert err.value.iterations > 0
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+def test_solvers_reject_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError):
+        solve_positive_b(ProblemSpec(n=3, m=1, r=0.6, a=np.array([0.2]), b=0.3), tol=tol)
+    with pytest.raises(ValueError):
+        solve_zero_b(ProblemSpec(n=3, m=1, r=0.6, a=np.array([0.2]), b=0.0), tol=tol)
+
+
 def test_mass_increases_along_solved_path():
     spec = ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.3, -0.1]), b=0.4)
     masses = [lambda_path_point(spec, mu)[1] for mu in np.logspace(-2, 2, 7)]
@@ -294,40 +306,148 @@ def test_mass_increases_along_solved_path():
     assert masses[-1] < np.sqrt(1.0 - 0.3**2 - 0.1**2)
 
 
-def _bracketed_residuals(kind, count=200, seed=5):
-    """Seeded increasing (f, lo, hi) with its root c strictly inside [lo, hi]."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        c = float(rng.uniform(-1.0, 1.0))
-        lo, hi = c - float(rng.uniform(0.05, 3.0)), c + float(rng.uniform(0.05, 3.0))
-        if kind == "smooth":
-            shift = c + 0.5 * math.sin(c)
-            yield (lambda x, s=shift: x + 0.5 * math.sin(x) - s), lo, hi
-        elif kind == "tanh":
-            steep = 10.0 ** float(rng.uniform(0.0, 6.0))
-            yield (lambda x, c=c, k=steep: math.tanh(k * (x - c))), lo, hi
+# --------------------------------------------------------------------------
+# an independent reduced dual: polar-angle Gauss-Legendre panels, no sphere.py
+# --------------------------------------------------------------------------
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+
+
+def _polar_rule(edges, n):
+    """Nodes theta and sigma-weights of Gauss-Legendre panels on [0, pi]."""
+    edges = np.unique(np.clip(edges, 0.0, math.pi))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    theta = (0.5 * (lo + hi) + 0.5 * (hi - lo) * _GL_X).ravel()
+    cn = math.exp(math.lgamma(0.5 * n) - math.lgamma(0.5 * (n - 1))) / math.sqrt(math.pi)
+    return theta, (0.5 * (hi - lo) * _GL_W).ravel() * cn * np.sin(theta) ** (n - 2)
+
+
+def _poisson(n, r, theta):
+    # (1 - r^2) / |r N - omega|^n, |r N - omega|^2 = (1 - r)^2 + 4 r sin^2(theta / 2)
+    return (1.0 - r * r) * ((1.0 - r) ** 2 + 4.0 * r * np.sin(0.5 * theta) ** 2) ** (-0.5 * n)
+
+
+def _graded(center, width):
+    out, d = [center], width
+    while d < 4.0:
+        out += [center - d, center + d]
+        d *= 3.0
+    return out
+
+
+def reduced_dual_min(n, r, c1, rho):
+    """min over nu, s >= 0 of nu c1 - s rho + int sqrt((K - nu)^2 + s^2) dsigma.
+
+    Panels are graded toward the pole at the scale 1 - r and around the
+    crossing K = nu at the datum's layer width.  At rho = 0 the minimum
+    is int K sign(theta* - theta) with the cap theta < theta* of mass
+    (1 + c1) / 2; otherwise damped Newton runs from that face.
+    """
+    pole = _graded(0.0, (1.0 - r) / 16.0)
+    lo, hi = 0.0, math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        mass = _polar_rule(np.array([0.0, mid]), n)[1].sum()
+        lo, hi = (mid, hi) if mass < 0.5 * (1.0 + c1) else (lo, mid)
+    cap = 0.5 * (lo + hi)
+    if rho == 0.0:
+        theta, w = _polar_rule(np.array(pole + [cap, math.pi]), n)
+        return float(w @ (_poisson(n, r, theta) * np.sign(cap - theta)))
+
+    def terms(nu, s):
+        edges = pole + [math.pi]
+        base = ((1.0 - r * r) / nu) ** (2.0 / n)
+        half = (base - (1.0 - r) ** 2) / (4.0 * r)
+        if 0.0 < half < 1.0:
+            crossing = 2.0 * math.asin(math.sqrt(half))
+            slope = n * nu * r * math.sin(crossing) / base
+            edges += _graded(crossing, max(s / slope / 8.0, 1e-15))
+        theta, w = _polar_rule(np.array(edges), n)
+        d = _poisson(n, r, theta) - nu
+        big = np.hypot(d, s)
+        grad = np.array([c1 - float(w @ (d / big)), float(w @ (s / big)) - rho])
+        w3 = w / big**3
+        h12 = float(w3 @ d) * s
+        hess = np.array([[s * s * w3.sum(), h12], [h12, float(w3 @ (d * d))]])
+        return nu * c1 - s * rho + float(w @ big), grad, hess
+
+    nu = float(_poisson(n, r, cap))
+    s = rho * nu
+    q, grad, hess = terms(nu, s)
+    for _ in range(200):
+        step = np.linalg.solve(hess, -grad)
+        dec = -float(grad @ step)
+        if not dec > 1e-30 * abs(q):
+            break
+        alpha = min(1.0, 0.9 * s / -step[1]) if step[1] < 0.0 else 1.0
+        for _ in range(40):
+            cand = terms(nu + alpha * step[0], s + alpha * step[1])
+            if cand[0] <= q - 1e-4 * alpha * dec or (
+                alpha * dec < 1e-13 * abs(q) and np.abs(cand[1]).max() < np.abs(grad).max()
+            ):
+                break
+            alpha *= 0.5
         else:
-            p = float(rng.uniform(0.2, 5.0))
-            yield (lambda x, c=c, p=p: math.copysign(abs(x - c) ** p, x - c)), lo, hi
+            break
+        nu, s = nu + alpha * step[0], s + alpha * step[1]
+        q, grad, hess = cand
+    return q
 
 
-@pytest.mark.parametrize("kind", ["smooth", "tanh", "power"])
-@pytest.mark.parametrize("kw", [_BRENTQ_KW, {}], ids=["solver_kw", "defaults"])
-def test_brentq_port_is_bit_identical_to_scipy(kind, kw):
-    for f, lo, hi in _bracketed_residuals(kind):
+def _edge_grid():
+    """504 centers: n, m, r, b, norm of (a_2..a_m), a_1; m = 1 has no tail."""
+    for n, m, r, b, tail, a1 in itertools.product(
+        (2, 3, 8, 16), (1, 3, 8), (0.5, 0.99, 0.999), (0.0, 1e-9, 1e-3), (0.0, 1e-5, 0.1), (0.0, 0.6)
+    ):
+        if m > 1 or tail == 0.0:
+            yield n, m, r, b, tail, a1
+
+
+def test_edge_grid_matches_an_independent_reduced_dual():
+    # every center where the b > 0 and b = 0 solves meet (b = 1e-9 with a
+    # 1e-5 tail), plus a seeded sample of the rest of the grid
+    grid = list(_edge_grid())
+    meeting = [c for c in grid if c[3] == 1e-9 and c[4] == 1e-5]
+    rest = [c for c in grid if c not in meeting]
+    picks = np.random.default_rng(504).choice(len(rest), size=40, replace=False)
+    bad = []
+    for n, m, r, b, tail, a1 in meeting + [rest[i] for i in picks]:
+        a = np.array([a1] + [tail / math.sqrt(max(m - 1, 1))] * (m - 1))
+        expected = reduced_dual_min(n, r, a1, math.hypot(tail, b))
         try:
-            expected = brentq(f, lo, hi, **kw)
-        except RuntimeError:  # scipy ran out of maxiter: so must the port
-            with pytest.raises(SolverError):
-                _brentq(f, lo, hi, **kw)
-        else:
-            assert _brentq(f, lo, hi, **kw) == expected
+            value = axis_bound(ProblemSpec(n=n, m=m, r=r, a=a, b=b)).value
+        except SolverError as exc:
+            bad.append((n, m, r, b, tail, a1, str(exc)))
+            continue
+        if not abs(value - expected) < 1e-10:
+            bad.append((n, m, r, b, tail, a1, value - expected))
+    assert not bad
 
 
-def test_brentq_port_raises_solver_error():
-    with pytest.raises(SolverError):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)  # no sign change
-    with pytest.raises(SolverError):
-        _brentq(lambda x: math.tanh(1e6 * (x - 0.3)), 0.0, 1.0, **{**_BRENTQ_KW, "maxiter": 3})
-    with pytest.raises(SolverError):
-        _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    m=st.integers(2, 4),
+    r=st.floats(0.1, 0.95),
+    c1=st.floats(-0.8, 0.8),
+    share=st.one_of(st.just(0.0), st.floats(1e-300, 0.95)),
+    seed=st.integers(0, 2**32 - 1),
+    on_face=st.booleans(),
+)
+def test_axis_bound_depends_on_the_center_only_through_c1_and_rho(
+    n, m, r, c1, share, seed, on_face
+):
+    # rotating (a_2..a_m, b) with b >= 0 leaves c1 and rho alone; b = 0
+    # (the degenerate solve) must agree with b > 0 as well.  rho stops at
+    # 1e-300: below the normal range the dual's Hessian, of size 1/rho,
+    # overflows and the solve raises SolverError.
+    rho = share * math.sqrt(1.0 - c1 * c1)
+    rng = np.random.default_rng(seed)
+    values = []
+    for zero_b in (on_face, False):
+        perp = rng.standard_normal(m)
+        perp[-1] = 0.0 if zero_b else abs(perp[-1])
+        perp *= rho / np.linalg.norm(perp)
+        spec = ProblemSpec(n=n, m=m, r=r, a=np.concatenate(([c1], perp[:-1])), b=perp[-1])
+        values.append(axis_bound(spec).value)
+    assert values[0] == pytest.approx(values[1], abs=1e-10)
