@@ -381,22 +381,26 @@ def _check_residual(residual: float, tol: float, evaluations: int) -> None:
         )
 
 
-def _face_crossing(n: int, order: int, c1: float):
+def _face_crossing(n: int, c1: float):
     """Latitude t* with Rcal_1 = sigma{t > t*} - sigma{t < t*} = c1.
 
     This is the optimum of the dual's rho = 0 face, where the datum is
     the sign of t - t*.  Newton in t, guarded by bisection; the
     derivative is twice the latitude density c_n (1 - t^2)^{(n-3)/2}.
-    Each cap mass is one Gauss rule mapped onto the cap, so the jump
-    costs no accuracy.  Returns (t*, evaluations).
+    The smaller cap's mass comes from a Gauss-Jacobi rule mapped onto
+    it, whose weight absorbs the density's endpoint factor; the factor
+    left is analytic well beyond the cap, so order 32 already gives the
+    mass to rounding and costs no full-order rule build.  Returns
+    (t*, evaluations).
     """
     density, p = 2.0 * _zonal_constant(n), 0.5 * (n - 3)
     lo, hi = -1.0, 1.0
     t = -c1  # exact at n = 3, where the density is flat
     for evaluations in range(1, 100):
-        above = float(_segment_rule(n, order, t, 1.0)[1].sum())
-        below = float(_segment_rule(n, order, -1.0, t)[1].sum())
-        excess = above - below - c1
+        if t <= 0.0:
+            excess = 1.0 - 2.0 * float(_segment_rule(n, 32, -1.0, t)[1].sum()) - c1
+        else:
+            excess = 2.0 * float(_segment_rule(n, 32, t, 1.0)[1].sum()) - 1.0 - c1
         if excess == 0.0:
             break
         if excess > 0.0:
@@ -494,9 +498,9 @@ def _minimize_dual(spec, rule, perp, f, tol, x, y=None):
     return x, y, terms, residual, evaluations
 
 
-def _face_level(spec: ProblemSpec, rule: QuadratureRule) -> float:
+def _face_level(spec: ProblemSpec) -> float:
     """Kernel level g(t*) at the rho = 0 optimum: the dual's starting x."""
-    t_star = _face_crossing(spec.n, rule.order, float(spec.a[0]))[0]
+    t_star = _face_crossing(spec.n, float(spec.a[0]))[0]
     return float(kernel_profile(spec.r, spec.n, t_star))
 
 
@@ -524,7 +528,7 @@ def solve_positive_b(
     perp = np.append(spec.a[1:], spec.b)
     rho = math.hypot(*perp)
     if x0 is None:
-        x, y = _face_level(spec, rule), None
+        x, y = _face_level(spec), None
     else:
         x, mu = float(x0[0]), float(x0[1])
         if mu <= 0.0:
@@ -570,7 +574,7 @@ def solve_zero_b(
     lam = np.zeros(spec.m)
     rho = math.hypot(*spec.a[1:])
     if rho == 0.0:
-        t_star, evaluations = _face_crossing(spec.n, rule.order, float(spec.a[0]))
+        t_star, evaluations = _face_crossing(spec.n, float(spec.a[0]))
         lam[0] = kernel_profile(spec.r, spec.n, t_star)
         residual = float(np.abs(moments_Rcal(spec, lam, rule) - spec.a).max())
         _check_residual(residual, tol, evaluations)
@@ -589,7 +593,7 @@ def solve_zero_b(
             "degenerate one and quadrature accuracy degrades"
         )
     x, y, terms, residual, evaluations = _minimize_dual(
-        spec, rule, spec.a[1:], 0.0, tol, _face_level(spec, rule)
+        spec, rule, spec.a[1:], 0.0, tol, _face_level(spec)
     )
     lam[0] = x
     lam[1:] = -y * (spec.a[1:] / rho)
@@ -618,7 +622,7 @@ def lambda_path_point(spec: ProblemSpec, mu: float, rule: QuadratureRule | None 
     if rule is None:
         rule = zonal_rule(spec.n, DEFAULT_ORDER)
     perp = spec.a[1:]
-    x, y, terms, _, _ = _minimize_dual(spec, rule, perp, mu, 1e-10, _face_level(spec, rule))
+    x, y, terms, _, _ = _minimize_dual(spec, rule, perp, mu, 1e-10, _face_level(spec))
     lam = np.zeros(spec.m)
     lam[0] = x
     rho = math.hypot(*perp)
