@@ -98,10 +98,10 @@ class MapEvaluation:
     quadrature_error_estimate: float
 
 
-def _positive_profiles(spec: ProblemSpec, sol: LagrangeSolution, sign: int):
+def _datum_profiles(spec: ProblemSpec, lam: np.ndarray, mu: float, sign: int = 1):
     # u = (g l - lam) / |(g l - lam, mu)|, v = mu / |(g l - lam, mu)|, formed
-    # without dividing by mu so that tiny mu neither over- nor underflows
-    lam, mu = sol.lam, sol.mu
+    # without dividing by mu so that tiny mu neither over- nor underflows;
+    # mu = 0 gives the b = 0 datum Acal / |Acal| with v = 0
     scale = math.hypot(mu, *lam[1:])
     r, n = spec.r, spec.n
 
@@ -120,34 +120,18 @@ def _positive_profiles(spec: ProblemSpec, sol: LagrangeSolution, sign: int):
 
 
 def _zero_profiles(spec: ProblemSpec, sol: LagrangeSolution):
-    lam = sol.lam
-    tail = -lam[1:]
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
     if sol.jump_point is not None:
         t_star = sol.jump_point
+        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
         u_profiles = [lambda t: np.sign(np.asarray(t, dtype=float) - t_star)]
         u_profiles.extend([zero] * (spec.m - 1))
         return tuple(u_profiles), zero, (t_star,)
-    w = math.hypot(*tail)
-    r, n = spec.r, spec.n
-
-    def first(t):
-        acal1 = kernel_profile(r, n, t) - lam[0]
-        return acal1 / np.hypot(acal1, w)
-
-    def inv_norm(t):
-        return 1.0 / np.hypot(kernel_profile(r, n, t) - lam[0], w)
-
-    u_profiles = [first]
-    for j in range(1, spec.m):
-        u_profiles.append(lambda t, dj=tail[j - 1]: dj * inv_norm(t))
+    lam, r, n = sol.lam, spec.r, spec.n
     breaks = sol.breakpoints
-    if not breaks:
-        g_lo, g_hi = kernel_profile(r, n, -1.0), kernel_profile(r, n, 1.0)
-        if g_lo < lam[0] < g_hi:
-            # smooth datum, but curvature concentrates where Acal_1 crosses zero
-            breaks = (kernel_inverse(r, n, float(lam[0])),)
-    return tuple(u_profiles), zero, breaks
+    if not breaks and kernel_profile(r, n, -1.0) < lam[0] < kernel_profile(r, n, 1.0):
+        # smooth datum, but curvature concentrates where Acal_1 crosses zero
+        breaks = (kernel_inverse(r, n, float(lam[0])),)
+    return (*_datum_profiles(spec, lam, 0.0), breaks)
 
 
 def boundary_map(
@@ -164,12 +148,12 @@ def boundary_map(
         rule = zonal_rule(spec.n, DEFAULT_ORDER)
     if spec.b > 0.0:
         sol = solve_positive_b(spec, rule, **({} if tol is None else {"tol": tol}))
-        u_profiles, v_profile = _positive_profiles(spec, sol, sign=1)
+        u_profiles, v_profile = _datum_profiles(spec, sol.lam, sol.mu)
         return BoundaryMap(spec, "positive_b", sol, u_profiles, v_profile, sol.breakpoints, rule)
     if spec.b < 0.0:
         flipped = ProblemSpec(spec.n, spec.m, spec.r, spec.a, -spec.b)
         sol = solve_positive_b(flipped, rule, **({} if tol is None else {"tol": tol}))
-        u_profiles, v_profile = _positive_profiles(flipped, sol, sign=-1)
+        u_profiles, v_profile = _datum_profiles(flipped, sol.lam, sol.mu, sign=-1)
         return BoundaryMap(
             spec, "positive_b", sol, u_profiles, v_profile, sol.breakpoints, rule, b_sign=-1
         )

@@ -40,10 +40,12 @@ latitude integrals, so one damped Newton iteration with an Armijo line
 search covers both branches and ``lambda_path_point`` (which holds mu
 fixed as an extra field component).  Its minimizer rotates back to
 lam_j = -y a_j / rho and mu = y b / rho.  The rho = 0 face is solved
-apart: the datum is then sign(t - t*) and t* fixes the cap mass.  Small
+apart: the datum is then sign(t - t*) and t* fixes the cap mass; so is
+rho below 1e-300, whose datum equals the face's to rounding.  Small
 rho makes the datum turn over inside a thin latitude layer around the
 crossing g(t) = x that no fixed Gauss rule resolves, so every iterate
-integrates on the rule segmented geometrically around its own crossing.
+integrates on the rule segmented geometrically around its own crossing,
+whose narrow panels take a fixed low order (see ``sphere.segmented_nodes``).
 Negative b is never solved directly: callers flip the sign of the last
 target coordinate and negate the matching component of the map
 afterwards.
@@ -63,20 +65,11 @@ from .sphere import (
     _segment_rule,
     _zonal_constant,
     segmented_nodes,
-    zonal_integrate,
     zonal_rule,
 )
 
 MAX_DIMENSION = 16
 MAX_TARGET_DIM = 8
-
-# glibc's malloc raises its mmap and trim thresholds to the size of the first
-# large block it unmaps.  Until that happens, the ~180 KB temporaries of the
-# graded moment rules are handed back to the kernel after every evaluation and
-# page-faulted in again on the next one (b = 0 envelope sweeps ran about a
-# third slower for it on a 2-core Linux machine).  Freeing one 4 MB block here
-# lifts both thresholds above those temporaries; other allocators ignore it.
-np.empty(1 << 19)
 
 __all__ = [
     "ProblemSpec",
@@ -225,8 +218,26 @@ def field_A(spec: ProblemSpec, lam, mu: float, t):
     return out
 
 
-def _tail_of(lam: np.ndarray) -> np.ndarray:
-    return lam[1:] if lam.size > 1 else np.empty(0)
+def _unit_field(spec: ProblemSpec, lam, mu: float, t: np.ndarray):
+    """The datum, unit vector of (g(t) l - lam, mu), in the scale
+    s = |(lam_2..lam_m, mu)|: with d = g(t) - lam_1 and R = hypot(d, s)
+    returns u = d / R, sigma = s / R, 1 / R, (lam_2..lam_m) / s and mu / s.
+    Nothing divides by mu, so tiny mu neither under- nor overflows; s = 0
+    gives the sign datum.  A = (g l - lam) / mu has 1 / sqrt(1 + |A|^2)
+    = (mu / s) sigma."""
+    lam = np.asarray(lam, dtype=float)
+    s = math.hypot(mu, *lam[1:])
+    d = kernel_profile(spec.r, spec.n, t) - lam[0]
+    inv = 1.0 / np.hypot(d, s)
+    tail, zeta = (lam[1:] / s, mu / s) if s > 0.0 else (lam[1:], 0.0)
+    return d * inv, s * inv, inv, tail, zeta
+
+
+def _moments(spec: ProblemSpec, lam, mu: float, t: np.ndarray, w: np.ndarray):
+    # R_j = -lam_j int 1 / R factors out of one integral with I = mu int 1 / R
+    u, sigma, _, tail, zeta = _unit_field(spec, lam, mu, t)
+    value_j = float(w @ sigma)
+    return np.concatenate(([float(w @ u)], -tail * value_j)), zeta * value_j
 
 
 def moments_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule):
@@ -234,64 +245,43 @@ def moments_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule):
 
     The tail components use the constant-field factorization
     R_j = (-lam_j / mu) * I, which is exact, so only two latitude
-    integrals are evaluated.
+    integrals are evaluated, both formed without dividing by mu.
     """
-    lam = np.asarray(lam, dtype=float)
     if not mu > 0.0:
         raise ValueError(f"need mu > 0, got mu={mu}")
-    g = kernel_profile(spec.r, spec.n, rule.nodes)
-    a1 = (g - lam[0]) / mu
-    tail = -_tail_of(lam) / mu
-    den = np.sqrt(1.0 + float(tail @ tail) + a1 * a1)
-    value_i = float(rule.weights @ (1.0 / den))
-    moments = np.empty(spec.m)
-    moments[0] = float(rule.weights @ (a1 / den))
-    moments[1:] = tail * value_i
-    return moments, value_i
+    return _moments(spec, lam, mu, rule.nodes, rule.weights)
 
 
 def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule) -> np.ndarray:
     """Jacobian of (R, I) with respect to (lam, mu), shape (m+1, m+1).
 
-    With K = (1 + |A|^2)^{-3/2} the entries reduce to three scalar
-    integrals S0 = int K, S1 = int A_1 K, S2 = int A_1^2 K because the
-    tail of A is constant:
+    With R = hypot(g - lam_1, s), l_j = lam_j / s and z = mu / s as in
+    ``_unit_field`` (|l|^2 + z^2 = 1), the entries reduce to three scalar
+    integrals P0 = int s^2 / R^3, P1 = int s (g - lam_1) / R^3 and
+    P2 = int (g - lam_1)^2 / R^3, each formed without dividing by mu:
 
-        dR_j/dlam_j = -(1/mu) int (1 + |A|^2 - A_j^2) K
-        dR_j/dlam_i = +(1/mu) int A_i A_j K          (i != j)
-        dR_j/dmu    = -(1/mu) int A_j K = -dI/dlam_j
-        dI/dmu      = +(1/mu) int |A|^2 K.
+        dR_1/dlam_1 = -P0,   dR_1/dlam_j = dR_j/dlam_1 = -l_j P1,
+        dR_j/dlam_i = l_i l_j P0 - [i = j] (P0 + P2)      (i, j >= 2),
+        dR_1/dmu = -z P1,    dR_j/dmu = -dI/dlam_j = l_j z P0,
+        dI/dlam_1 = z P1,    dI/dmu = P2 + |l|^2 P0.
     """
-    lam = np.asarray(lam, dtype=float)
     if not mu > 0.0:
         raise ValueError(f"need mu > 0, got mu={mu}")
     m = spec.m
-    g = kernel_profile(spec.r, spec.n, rule.nodes)
-    a1 = (g - lam[0]) / mu
-    tail = -_tail_of(lam) / mu
-    c2 = float(tail @ tail)
-    q = 1.0 + c2 + a1 * a1
-    kern = q ** (-1.5)
-    s0 = float(rule.weights @ kern)
-    s1 = float(rule.weights @ (a1 * kern))
-    s2 = float(rule.weights @ (a1 * a1 * kern))
-
+    u, sigma, inv, tail, zeta = _unit_field(spec, lam, mu, rule.nodes)
+    wi = rule.weights * inv
+    p0 = float(wi @ (sigma * sigma))
+    p1 = float(wi @ (u * sigma))
+    p2 = float(wi @ (u * u))
     jac = np.empty((m + 1, m + 1))
-    # row 0: R_1;  |A|^2 - A_1^2 = c2 is constant.
-    jac[0, 0] = -(1.0 + c2) * s0 / mu
-    jac[0, 1:m] = tail * s1 / mu
-    jac[0, m] = -s1 / mu
-    # rows 1..m-1: tail moments R_j, j >= 2.
-    for j in range(1, m):
-        aj = tail[j - 1]
-        jac[j, 0] = aj * s1 / mu
-        jac[j, 1:m] = tail * aj * s0 / mu
-        jac[j, j] = -((1.0 + c2 - aj * aj) * s0 + s2) / mu
-        jac[j, m] = -aj * s0 / mu
-    # last row: I.
-    jac[m, 0] = s1 / mu
-    jac[m, 1:m] = tail * s0 / mu
-    jac[m, m] = (s2 + c2 * s0) / mu
+    jac[0, 0] = -p0
+    jac[0, 1:m] = jac[1:m, 0] = -tail * p1
+    jac[0, m] = -zeta * p1
+    jac[1:m, 1:m] = np.outer(tail, tail) * p0 - np.eye(m - 1) * (p0 + p2)
+    jac[1:m, m] = tail * zeta * p0
+    jac[m, 0] = zeta * p1
+    jac[m, 1:m] = -tail * zeta * p0
+    jac[m, m] = p2 + float(tail @ tail) * p0
     return jac
 
 
@@ -300,50 +290,18 @@ def moments_Rcal(
 ) -> np.ndarray:
     """Constraint moments Rcal of the b = 0 field at lam.
 
-    When the multiplier tail vanishes the integrand is a latitude sign
-    function; its jump is passed to the rule as a breakpoint.  Otherwise
-    |Acal| is bounded away from zero and the integrand is smooth, with
-    the near-kink latitude still supplied as a breakpoint to keep Gauss
-    accuracy when the tail is small.  ``breakpoints`` overrides that
-    derived crossing when the caller already holds a graded partition
-    for a thin kink layer.
+    The datum Acal / |Acal| is the mu = 0 end of the b > 0 one.  With a
+    vanishing tail it is a latitude sign function jumping where g(t)
+    crosses lam_1; otherwise it bends there, the sharper the smaller the
+    tail.  Either way the rule is segmented at that crossing, unless
+    ``breakpoints`` supplies a graded partition for a thin kink layer.
     """
     lam = np.asarray(lam, dtype=float)
-    tail = -_tail_of(lam)
-    lam1 = float(lam[0])
     r, n = spec.r, spec.n
-    g_lo = kernel_profile(r, n, -1.0)
-    g_hi = kernel_profile(r, n, 1.0)
-    moments = np.empty(spec.m)
-    breaks = None
-    if g_lo < lam1 < g_hi:
-        breaks = [kernel_inverse(r, n, lam1)]
-    if not np.any(tail):
-        if breaks is None:
-            moments[0] = 1.0 if lam1 <= g_lo else -1.0
-        else:
-            moments[0] = zonal_integrate(
-                rule,
-                lambda t: np.sign(kernel_profile(r, n, t) - lam1),
-                breakpoints=breaks,
-            )
-        moments[1:] = 0.0
-        return moments
-    if breakpoints is not None and len(breakpoints) > 0:
-        breaks = list(breakpoints)
-    w2 = float(tail @ tail)
-
-    def inv_norm(t):
-        acal1 = kernel_profile(r, n, t) - lam1
-        return 1.0 / np.sqrt(w2 + acal1 * acal1)
-
-    def first(t):
-        acal1 = kernel_profile(r, n, t) - lam1
-        return acal1 / np.sqrt(w2 + acal1 * acal1)
-
-    moments[0] = zonal_integrate(rule, first, breakpoints=breaks)
-    moments[1:] = tail * zonal_integrate(rule, inv_norm, breakpoints=breaks)
-    return moments
+    if breakpoints is None or len(breakpoints) == 0:
+        crossing = kernel_profile(r, n, -1.0) < lam[0] < kernel_profile(r, n, 1.0)
+        breakpoints = [kernel_inverse(r, n, float(lam[0]))] if crossing else None
+    return _moments(spec, lam, 0.0, *segmented_nodes(rule, breakpoints))[0]
 
 
 # --------------------------------------------------------------------------
@@ -504,6 +462,23 @@ def _face_level(spec: ProblemSpec) -> float:
     return float(kernel_profile(spec.r, spec.n, t_star))
 
 
+# Centers with rho below this are solved on the rho = 0 face: their datum's
+# turnover scale y ~ rho g'(t*) / log can be subnormal, where 1 / R overflows,
+# and it differs from sign(t - t*) only on a set of measure ~ y / g'(t*).
+_FACE_RHO = 1e-300
+
+
+def _solve_face(spec: ProblemSpec, rule: QuadratureRule, tol: float):
+    """(lam, t*, residual against (a, b), evaluations) of the rho = 0 face,
+    lam = (g(t*), 0, ..., 0); raises ``SolverError`` unless residual < tol."""
+    t_star, evaluations = _face_crossing(spec.n, float(spec.a[0]))
+    lam = np.zeros(spec.m)
+    lam[0] = kernel_profile(spec.r, spec.n, t_star)
+    residual = max(float(np.abs(moments_Rcal(spec, lam, rule) - spec.a).max()), spec.b)
+    _check_residual(residual, tol, evaluations)
+    return lam, float(t_star), residual, evaluations
+
+
 def solve_positive_b(
     spec: ProblemSpec,
     rule: QuadratureRule | None = None,
@@ -518,7 +493,9 @@ def solve_positive_b(
     minimizer back: mu = y (b / rho), lam_j = -mu a_j / b.  The residual is
     that of the full (m+1)-dimensional moment system, on the rule
     segmented at the datum's turnover layer (``breakpoints``), which
-    small b makes arbitrarily thin.
+    small b makes arbitrarily thin.  Centers with rho = |(a_2..a_m, b)|
+    below 1e-300 are solved on the rho = 0 face, with y = rho and the
+    single breakpoint t*.
     """
     if spec.b <= 0.0:
         raise ValueError(f"positive branch requires b > 0, got b={spec.b}")
@@ -527,22 +504,26 @@ def solve_positive_b(
         rule = zonal_rule(spec.n, DEFAULT_ORDER)
     perp = np.append(spec.a[1:], spec.b)
     rho = math.hypot(*perp)
-    if x0 is None:
-        x, y = _face_level(spec), None
+    if rho < _FACE_RHO:  # y = rho, so mu = b; the datum jumps at t*
+        lam, t_star, residual, evaluations = _solve_face(spec, rule, tol)
+        x, mu, breaks = lam[0], spec.b, (t_star,)
     else:
-        x, mu = float(x0[0]), float(x0[1])
-        if mu <= 0.0:
-            raise ValueError(f"initial mu must be positive, got {mu}")
-        y = mu * (rho / spec.b)
-    x, y, terms, residual, evaluations = _minimize_dual(spec, rule, perp, 0.0, tol, x, y)
-    mu = y * (spec.b / rho)
+        if x0 is None:
+            x, y = _face_level(spec), None
+        else:
+            x, mu = float(x0[0]), float(x0[1])
+            if mu <= 0.0:
+                raise ValueError(f"initial mu must be positive, got {mu}")
+            y = mu * (rho / spec.b)
+        x, y, terms, residual, evaluations = _minimize_dual(spec, rule, perp, 0.0, tol, x, y)
+        mu, breaks = y * (spec.b / rho), terms[4]
     return LagrangeSolution(
         branch="positive_b",
         lam=np.concatenate(([x], (-spec.a[1:] / spec.b) * mu)),
         mu=mu,
         residual=residual,
         iterations=evaluations,
-        breakpoints=terms[4],
+        breakpoints=breaks,
         warnings=tuple(_conditioning_warnings(spec)),
     )
 
@@ -554,9 +535,10 @@ def solve_zero_b(
 ) -> LagrangeSolution:
     """Solve Rcal(lam) = a on the degenerate branch b = 0.
 
-    With a vanishing multiplier tail (rho = 0) the datum is a two-valued
-    latitude sign function and the single unknown is its jump latitude
-    ``jump_point``, the crossing of the dual's rho = 0 face.  Otherwise
+    With a vanishing multiplier tail (rho = |(a_2..a_m)| = 0, or below
+    1e-300) the datum is a two-valued latitude sign function and the
+    single unknown is its jump latitude ``jump_point``, the crossing of
+    the dual's rho = 0 face.  Otherwise
     the reduced dual is minimized as on the positive branch and
     lam_j = -y a_j / rho; a small tail bends the datum over a thin kink
     layer, resolved by the graded ``breakpoints``.
@@ -571,20 +553,16 @@ def solve_zero_b(
         warnings.append(
             "|a| is within 1e-06 of the sphere; multipliers are boundary-adjacent"
         )
-    lam = np.zeros(spec.m)
     rho = math.hypot(*spec.a[1:])
-    if rho == 0.0:
-        t_star, evaluations = _face_crossing(spec.n, float(spec.a[0]))
-        lam[0] = kernel_profile(spec.r, spec.n, t_star)
-        residual = float(np.abs(moments_Rcal(spec, lam, rule) - spec.a).max())
-        _check_residual(residual, tol, evaluations)
+    if rho < _FACE_RHO:
+        lam, t_star, residual, evaluations = _solve_face(spec, rule, tol)
         return LagrangeSolution(
             branch="zero_b",
             lam=lam,
             mu=None,
             residual=residual,
             iterations=evaluations,
-            jump_point=float(t_star),
+            jump_point=t_star,
             warnings=tuple(warnings),
         )
     if rho < 1e-4:
@@ -595,6 +573,7 @@ def solve_zero_b(
     x, y, terms, residual, evaluations = _minimize_dual(
         spec, rule, spec.a[1:], 0.0, tol, _face_level(spec)
     )
+    lam = np.zeros(spec.m)
     lam[0] = x
     lam[1:] = -y * (spec.a[1:] / rho)
     return LagrangeSolution(

@@ -33,7 +33,9 @@ discontinuities must be integrated piecewise: callers pass the jump
 locations as breakpoints, and each sub-interval gets its own mapped
 rule.  Sub-intervals touching an endpoint keep the (possibly singular)
 endpoint factor inside a one-sided Jacobi weight; interior sub-intervals
-fold the full weight into the integrand and use Gauss-Legendre.
+fold the full weight into the integrand and use Gauss-Legendre.  Pieces
+narrower than 0.05 get a fixed low order (hp grading; Schwab, p- and
+hp-FEM, 1998), and the interior ones of each order are mapped at once.
 
 Every Gauss rule without a closed form, for (1-x)^alpha (1+x)^beta with
 alpha, beta in {-1/2, 0, 1/2, ..., 13/2} and Legendre included, comes from one
@@ -76,6 +78,7 @@ def _weight_exponent(n: int) -> float:
     return 0.5 * (n - 3)
 
 
+@lru_cache(maxsize=None)
 def _zonal_constant(n: int) -> float:
     # c_n = Gamma(n/2) / (sqrt(pi) Gamma((n-1)/2)), kept in log form for large n.
     return math.exp(math.lgamma(0.5 * n) - math.lgamma(0.5 * (n - 1))) / math.sqrt(math.pi)
@@ -216,6 +219,18 @@ def zonal_rule(n: int, order: int = DEFAULT_ORDER) -> QuadratureRule:
     return QuadratureRule(n=n, nodes=_freeze(x), weights=_freeze(w))
 
 
+def _narrow_order(order: int) -> int:
+    """The fixed low order of hp-graded panels: 64 for order 512."""
+    return min(order, max(order // 8, 16))
+
+
+def _is_narrow(lo: float, hi: float) -> bool:
+    # narrower than 0.05 and, unless it has the endpoint's Jacobi weight, a
+    # quarter of its width from the poles, where the weight of even n is singular
+    width = hi - lo
+    return width < 0.05 and (lo == -1.0 or hi == 1.0 or 4.0 * min(1.0 - hi, 1.0 + lo) >= width)
+
+
 def _segment_rule(n: int, order: int, lo: float, hi: float):
     """Mapped rule for int_lo^hi f(t) c_n (1-t^2)^{(n-3)/2} dt.
 
@@ -247,7 +262,7 @@ def _segment_rule(n: int, order: int, lo: float, hi: float):
 
 
 def _clean_breakpoints(breakpoints) -> list[float]:
-    pts = sorted(float(t) for t in np.atleast_1d(np.asarray(breakpoints, dtype=float)))
+    pts = sorted(np.atleast_1d(np.asarray(breakpoints, dtype=float)).tolist())
     for t in pts:
         if not -1.0 < t < 1.0:
             raise QuadratureError(f"breakpoint {t} lies outside (-1, 1)")
@@ -365,16 +380,36 @@ def segmented_nodes(rule: QuadratureRule, breakpoints=None):
 
     With breakpoints the returned weights carry the latitude density of
     each sub-interval, so ``w @ f(t)`` equals the piecewise integral
-    computed by :func:`zonal_integrate`.
+    computed by :func:`zonal_integrate`.  The panels are hp-graded: the
+    geometric partitions of this package keep every feature a fixed number
+    of panel widths away, so narrow panels take a fixed low order.
     """
     if breakpoints is None or len(np.atleast_1d(breakpoints)) == 0:
         return rule.nodes, rule.weights
-    pts = _clean_breakpoints(breakpoints)
-    edges = [-1.0, *pts, 1.0]
-    parts = [_segment_rule(rule.n, rule.order, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    t = np.concatenate([p[0] for p in parts])
-    w = np.concatenate([p[1] for p in parts])
-    return t, w
+    n, low = rule.n, _narrow_order(rule.order)
+    edges = [-1.0, *_clean_breakpoints(breakpoints), 1.0]
+    orders = [low if _is_narrow(lo, hi) else rule.order for lo, hi in zip(edges, edges[1:])]
+    parts = [_segment_rule(n, orders[0], -1.0, edges[1])]
+    if len(orders) > 2:
+        parts += _interior_panels(n, edges[1:-1], orders[1:-1])
+    parts.append(_segment_rule(n, orders[-1], edges[-2], 1.0))
+    return np.concatenate([t for t, _ in parts]), np.concatenate([w for _, w in parts])
+
+
+def _interior_panels(n: int, edges: list, orders: list) -> list:
+    """(t, w) of the interior panels between ``edges``, in latitude order;
+    the panels of one order are mapped in a single broadcast."""
+    if len(orders) < 4:  # too few panels to repay the broadcast's set-up
+        return [_segment_rule(n, k, lo, hi) for lo, hi, k in zip(edges, edges[1:], orders)]
+    rows = {}
+    for k in set(orders):
+        lo, hi = np.array([(lo, hi) for lo, hi, j in zip(edges, edges[1:], orders) if j == k]).T
+        x, wx = _base_jacobi(k, 0.0, 0.0)
+        half = 0.5 * (hi - lo)
+        t = (0.5 * (lo + hi))[:, None] + np.multiply.outer(half, x)
+        w = np.multiply.outer(_zonal_constant(n) * half, wx) * (1.0 - t * t) ** _weight_exponent(n)
+        rows[k] = zip(t, w)
+    return [next(rows[k]) for k in orders]
 
 
 def segmented_pairs(rule: BiaxialRule, t1_breakpoints=None):

@@ -15,6 +15,7 @@ from harmonic_schwarz import (
     jacobian_RI,
     kernel_inverse,
     kernel_profile,
+    QuadratureRule,
     lambda_path_point,
     moments_RI,
     moments_Rcal,
@@ -24,6 +25,7 @@ from harmonic_schwarz import (
     zonal_rule,
 )
 from harmonic_schwarz.bounds import axis_bound
+from harmonic_schwarz.sphere import segmented_nodes
 
 
 def jump_latitude_oracle(n: int, a1: float) -> float:
@@ -98,6 +100,19 @@ def test_moments_bounds_and_tail_identity():
         assert 0.0 < mass < 1.0
         # constant tail components factor out of the integral
         np.testing.assert_allclose(moved[1:], (-lam[1:] / mu) * mass, atol=1e-14)
+
+
+@pytest.mark.parametrize("b", [1e-160, 1e-200])
+def test_moments_at_a_tiny_mu_stay_finite_and_correct(b):
+    # mu ~ 5e-161 and below: A = (g l - lam) / mu would overflow when squared
+    spec = ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.3, 0.0]), b=b)
+    sol = solve_positive_b(spec)
+    t, w = segmented_nodes(zonal_rule(3), sol.breakpoints)
+    rule = QuadratureRule(n=3, nodes=t, weights=w)
+    moved, mass = moments_RI(spec, sol.lam, sol.mu, rule)
+    np.testing.assert_allclose(moved, spec.a, atol=1e-10)
+    assert 0.0 < mass < 1e-10
+    assert np.all(np.isfinite(jacobian_RI(spec, sol.lam, sol.mu, rule)))
 
 
 def test_jacobian_diagonal_signs():
@@ -283,6 +298,19 @@ def test_small_b_solves_resolve_the_layer():
         assert sol.residual < 1e-10
 
 
+@pytest.mark.parametrize("rho", [5e-324, 1e-310, 2.2e-308, 2.2250738585072014e-308])
+@pytest.mark.parametrize("along", ["b", "tail"])
+def test_subnormal_off_axis_parts_solve_on_the_face(rho, along):
+    # 1 / R would overflow next to the crossing; the bound is the b = 0 one
+    a = np.array([0.6, rho if along == "tail" else 0.0, 0.0])
+    spec = ProblemSpec(n=6, m=3, r=0.9, a=a, b=rho if along == "b" else 0.0)
+    result = axis_bound(spec)
+    assert result.value == pytest.approx(0.9965528335175532, abs=1e-15)
+    assert result.witness.solution.residual < 1e-10
+    if along == "b":
+        assert result.witness.solution.mu == rho
+
+
 def test_solver_error_carries_residual():
     spec = ProblemSpec(n=3, m=1, r=0.6, a=np.array([0.2]), b=0.3)
     with pytest.raises(SolverError) as err:
@@ -430,7 +458,7 @@ def test_edge_grid_matches_an_independent_reduced_dual():
     m=st.integers(2, 4),
     r=st.floats(0.1, 0.95),
     c1=st.floats(-0.8, 0.8),
-    share=st.one_of(st.just(0.0), st.floats(1e-300, 0.95)),
+    share=st.one_of(st.just(0.0), st.floats(5e-324, 0.95)),
     seed=st.integers(0, 2**32 - 1),
     on_face=st.booleans(),
 )
@@ -438,9 +466,8 @@ def test_axis_bound_depends_on_the_center_only_through_c1_and_rho(
     n, m, r, c1, share, seed, on_face
 ):
     # rotating (a_2..a_m, b) with b >= 0 leaves c1 and rho alone; b = 0
-    # (the degenerate solve) must agree with b > 0 as well.  rho stops at
-    # 1e-300: below the normal range the dual's Hessian, of size 1/rho,
-    # overflows and the solve raises SolverError.
+    # (the degenerate solve) must agree with b > 0 as well, subnormal rho
+    # included.
     rho = share * math.sqrt(1.0 - c1 * c1)
     rng = np.random.default_rng(seed)
     values = []

@@ -15,7 +15,8 @@ from harmonic_schwarz import (
     zonal_integrate,
     zonal_rule,
 )
-from harmonic_schwarz.sphere import _base_jacobi, _gauss_jacobi
+from harmonic_schwarz.solver import _graded_partition, kernel_profile
+from harmonic_schwarz.sphere import _base_jacobi, _gauss_jacobi, _segment_rule, segmented_nodes
 
 
 def symbolic_even_moment(n: int, k: int) -> float:
@@ -133,6 +134,56 @@ def test_breakpoint_pieces_recover_smooth_integral():
     plain = zonal_integrate(rule, np.cos)
     split = zonal_integrate(rule, np.cos, breakpoints=[-0.4, 0.1, 0.7])
     assert split == pytest.approx(plain, abs=1e-13)
+
+
+def full_order_panels(rule, breakpoints):
+    """Every panel at the rule's own order, one panel at a time."""
+    edges = [-1.0, *breakpoints, 1.0]
+    parts = [_segment_rule(rule.n, rule.order, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return np.concatenate([t for t, _ in parts]), np.concatenate([w for _, w in parts])
+
+
+def test_wide_panels_keep_the_full_order_bit_for_bit():
+    # four interior panels of one order take the broadcast path
+    rule = zonal_rule(5)
+    breaks = (-0.6, -0.2, 0.1, 0.5, 0.7)
+    t, w = segmented_nodes(rule, breaks)
+    t_ref, w_ref = full_order_panels(rule, breaks)
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(w, w_ref)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_narrow_panels_next_to_a_pole_keep_the_full_order(n):
+    # (0.966, 0.99994) is 6e-5 from t = 1, where the weight of even n is
+    # singular: at order 64 its weights lost 3e-5 of the mass
+    breaks = (0.932, 0.966, 0.99994)
+    rule = zonal_rule(n)
+    assert segmented_nodes(rule, breaks)[1].sum() == pytest.approx(1.0, abs=1e-13)
+    smooth = zonal_integrate(rule, np.cos)
+    assert zonal_integrate(rule, np.cos, breakpoints=breaks) == pytest.approx(smooth, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16])
+def test_graded_panels_take_a_fixed_low_order(n):
+    # the solver's layer partition: 41 breakpoints, innermost half-width 1e-12
+    rule = zonal_rule(n, 512)
+    breaks = _graded_partition(0.3, 1e-12)
+    t, w = segmented_nodes(rule, breaks)
+    assert t.size < 6000  # 21,504 with every panel at order 512
+    assert np.all(np.diff(t) > 0.0)
+    assert w.sum() == pytest.approx(1.0, abs=1e-13)
+    # the half-order rule stays distinct on the narrow panels
+    assert segmented_nodes(zonal_rule(n, 256), breaks)[0].size < t.size
+    # a datum turning over on the scale 1e-9 integrates as on full-order panels
+    t_ref, w_ref = full_order_panels(rule, breaks)
+
+    def layer(x):
+        d = kernel_profile(0.5, n, x) - kernel_profile(0.5, n, 0.3)
+        return d / np.hypot(d, 1e-9), 1e-9 / np.hypot(d, 1e-9)
+
+    for got, want in zip(layer(t), layer(t_ref)):
+        assert w @ got == pytest.approx(w_ref @ want, abs=1e-13)
 
 
 def test_non_finite_profile_reports_node():
