@@ -170,14 +170,16 @@ def _kernel_slope(r: float, n: int, t: float) -> float:
 def _graded_partition(t_star: float, delta: float) -> tuple:
     """Latitudes packing panels geometrically around t_star, innermost
     half-width delta; panel size over distance-to-t_star stays bounded,
-    so one partition resolves features of every width >= delta at once."""
+    so one partition resolves features of every width >= delta at once.
+    Points nearer a pole than a quarter of their distance to t_star are
+    dropped, so the pole's Jacobi weight takes the density's singularity."""
     pts = [t_star]
     d = delta
     while d < 0.4:
         pts.append(t_star - d)
         pts.append(t_star + d)
         d *= 4.0
-    return tuple(sorted(p for p in pts if -1.0 + 1e-12 < p < 1.0 - 1e-12))
+    return tuple(sorted(p for p in pts if 1.0 - abs(p) > max(0.25 * abs(p - t_star), 1e-12)))
 
 
 def _layer_breakpoints(spec: ProblemSpec, lam1: float, scale: float) -> tuple:

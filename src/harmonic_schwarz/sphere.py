@@ -35,7 +35,7 @@ rule.  Sub-intervals touching an endpoint keep the (possibly singular)
 endpoint factor inside a one-sided Jacobi weight; interior sub-intervals
 fold the full weight into the integrand and use Gauss-Legendre.  Pieces
 narrower than 0.05 get a fixed low order (hp grading; Schwab, p- and
-hp-FEM, 1998), and the interior ones of each order are mapped at once.
+hp-FEM, 1998); four or more interior pieces are mapped in one broadcast.
 
 Every Gauss rule without a closed form, for (1-x)^alpha (1+x)^beta with
 alpha, beta in {-1/2, 0, 1/2, ..., 13/2} and Legendre included, comes from one
@@ -397,19 +397,16 @@ def segmented_nodes(rule: QuadratureRule, breakpoints=None):
 
 
 def _interior_panels(n: int, edges: list, orders: list) -> list:
-    """(t, w) of the interior panels between ``edges``, in latitude order;
-    the panels of one order are mapped in a single broadcast."""
-    if len(orders) < 4:  # too few panels to repay the broadcast's set-up
+    """(t, w) of the interior panels between ``edges`` in latitude order, from
+    four panels on in one broadcast (one at a time is faster below that)."""
+    if len(orders) < 4:
         return [_segment_rule(n, k, lo, hi) for lo, hi, k in zip(edges, edges[1:], orders)]
-    rows = {}
-    for k in set(orders):
-        lo, hi = np.array([(lo, hi) for lo, hi, j in zip(edges, edges[1:], orders) if j == k]).T
-        x, wx = _base_jacobi(k, 0.0, 0.0)
-        half = 0.5 * (hi - lo)
-        t = (0.5 * (lo + hi))[:, None] + np.multiply.outer(half, x)
-        w = np.multiply.outer(_zonal_constant(n) * half, wx) * (1.0 - t * t) ** _weight_exponent(n)
-        rows[k] = zip(t, w)
-    return [next(rows[k]) for k in orders]
+    e = np.array(edges)
+    base = [_base_jacobi(k, 0.0, 0.0) for k in orders]
+    half = np.repeat(0.5 * (e[1:] - e[:-1]), orders)
+    t = np.repeat(0.5 * (e[:-1] + e[1:]), orders) + half * np.concatenate([x for x, _ in base])
+    wx = np.concatenate([wx for _, wx in base])
+    return [(t, _zonal_constant(n) * half * wx * (1.0 - t * t) ** _weight_exponent(n))]
 
 
 def segmented_pairs(rule: BiaxialRule, t1_breakpoints=None):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonic_schwarz import ProblemSpec, boundary_map
+from harmonic_schwarz import ProblemSpec, axis_bound, boundary_map, sphere
 from harmonic_schwarz.mapping import (
     BoundaryMap,
     constant_map,
@@ -88,6 +88,30 @@ def test_three_dim_centered_axis_value_matches_closed_form():
     bm = cached_map(3, 1, r, (0.0,), 0.0)
     closed = (1.0 / r) * (1.0 - (1.0 - r * r) / np.sqrt(1.0 + r * r))
     assert eval_on_axis(bm, r).value[0] == pytest.approx(closed, abs=1e-12)
+
+
+@pytest.mark.parametrize("gap", [1e-6, 3e-8, 1e-8, 1e-12])
+def test_centered_axis_values_next_to_the_sphere_match_closed_forms(gap):
+    # the kernel peaks within gap^2 of the pole, where nodes rounded to
+    # latitudes misplace its mass by up to 1e-16 / gap^2
+    r = 1.0 - gap
+    planar = eval_on_axis(cached_map(2, 1, r, (0.0,), 0.0), r)
+    assert planar.value[0] == pytest.approx((4.0 / np.pi) * np.arctan(r), abs=1e-14)
+    spatial = eval_on_axis(cached_map(3, 1, r, (0.0,), 0.0), r)
+    closed = (1.0 / r) * (1.0 - (1.0 - r * r) / np.sqrt(1.0 + r * r))
+    assert spatial.value[0] == pytest.approx(closed, abs=1e-14)
+    assert max(planar.quadrature_error_estimate, spatial.quadrature_error_estimate) < 1e-14
+
+
+@pytest.mark.parametrize("gap", [3e-8, 1e-8])
+def test_axis_bound_next_to_the_sphere_needs_no_full_order_cap_panels(gap, monkeypatch):
+    # the innermost cap panels are cut at the 1e-13 grading floor, far wider
+    # than the kernel's peak; full-order panels must give the same bound
+    spec = ProblemSpec(n=3, m=2, r=1.0 - gap, a=np.array([0.3, 0.1]), b=0.2)
+    value = axis_bound(spec).value
+    assert value < 1.0
+    monkeypatch.setattr(sphere, "_narrow_order", lambda order: order)
+    assert axis_bound(spec).value == pytest.approx(value, abs=1e-13)
 
 
 def test_general_evaluation_agrees_with_the_axis_reduction():

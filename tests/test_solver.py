@@ -452,6 +452,15 @@ def test_edge_grid_matches_an_independent_reduced_dual():
     assert not bad
 
 
+def test_layer_partition_ending_next_to_a_pole_keeps_off_it():
+    # the layer at t* = 0.735 grades out to t* + 0.265, 3e-6 short of the
+    # pole: a panel ending there misses the density's singularity (n = 2)
+    # at any order, and the solve stalled or returned a bound 6e-9 off
+    c1, rho = -0.5260410435335988, 2.9562979532567408e-09
+    value = axis_bound(ProblemSpec(n=2, m=2, r=0.99, a=np.array([c1, 0.0]), b=rho)).value
+    assert value == pytest.approx(reduced_dual_min(2, 0.99, c1, rho), abs=1e-10)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(2, 6),

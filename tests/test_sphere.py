@@ -153,6 +153,19 @@ def test_wide_panels_keep_the_full_order_bit_for_bit():
     assert np.array_equal(w, w_ref)
 
 
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_broadcast_maps_mixed_orders_as_panel_by_panel(n):
+    # five interior panels, wide and narrow interleaved, in one broadcast
+    rule = zonal_rule(n)
+    breaks = (-0.6, -0.2, -0.19, 0.1, 0.12, 0.5)
+    edges = [-1.0, *breaks, 1.0]
+    orders = [512, 512, 64, 512, 64, 512, 512]
+    parts = [_segment_rule(n, k, lo, hi) for lo, hi, k in zip(edges, edges[1:], orders)]
+    t, w = segmented_nodes(rule, breaks)
+    assert np.array_equal(t, np.concatenate([t for t, _ in parts]))
+    assert np.array_equal(w, np.concatenate([w for _, w in parts]))
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_narrow_panels_next_to_a_pole_keep_the_full_order(n):
     # (0.966, 0.99994) is 6e-5 from t = 1, where the weight of even n is
