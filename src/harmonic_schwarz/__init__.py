@@ -50,7 +50,6 @@ from .oracle import (
 from .solver import (
     LagrangeSolution,
     ProblemSpec,
-    field_A,
     jacobian_RI,
     kernel_inverse,
     kernel_profile,
@@ -110,7 +109,6 @@ __all__ = [
     "eval_batch",
     "eval_general",
     "eval_on_axis",
-    "field_A",
     "jacobian_RI",
     "jacobian_fd_check",
     "kernel_inverse",

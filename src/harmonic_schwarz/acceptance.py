@@ -478,20 +478,6 @@ def harmonicity() -> CriterionResult:
     )
 
 
-CRITERIA = (
-    "heinz",
-    "moments",
-    "oracle",
-    "jacobian",
-    "determinants",
-    "signs",
-    "sharpness",
-    "envelope",
-    "limits",
-    "taylor",
-    "harmonicity",
-)
-
 _REGISTRY = {
     "heinz": heinz,
     "moments": moments,
@@ -505,6 +491,7 @@ _REGISTRY = {
     "taylor": taylor,
     "harmonicity": harmonicity,
 }
+CRITERIA = tuple(_REGISTRY)  # canonical order
 
 
 def run_suite(names=None, node_count: int = 2048) -> list[CriterionResult]:

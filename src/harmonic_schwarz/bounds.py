@@ -25,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import rotation_to_pole
-from .mapping import (
-    BoundaryMap,
-    _axis_cap_breakpoints,
-    boundary_map,
-    constraint_residuals,
-    eval_on_axis,
-)
+from .mapping import BoundaryMap, boundary_map, constraint_residuals, eval_on_axis
 from .solver import ProblemSpec, kernel_profile
 from .sphere import DEFAULT_ORDER, QuadratureRule, zonal_integrate, zonal_rule
 
@@ -130,7 +124,9 @@ def classical_bound(n: int, r: float, rule: QuadratureRule | None = None) -> flo
 
     The extremal datum is the hemisphere sign datum, so the value is the
     Poisson integral of sign(t) at r * N.  For n = 2 this reproduces
-    (4/pi) * arctan(r).
+    (4/pi) * arctan(r).  The kernel P has unit mass, so the value is
+    1 - 2 int_{t<0} P dsigma, where P stays smooth as r -> 1; its mass
+    near the pole would take rounded nodes and cap grading.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
@@ -138,10 +134,8 @@ def classical_bound(n: int, r: float, rule: QuadratureRule | None = None) -> flo
         raise ValueError(f"need 0 < r < 1, got r={r}")
     if rule is None:
         rule = zonal_rule(n, DEFAULT_ORDER)
-    profile = lambda t: kernel_profile(r, n, t) * np.sign(t)
-    # near r = 1 the kernel mass sits in a cap the plain rule cannot see
-    breaks = (0.0, *_axis_cap_breakpoints(r))
-    return (1.0 - r * r) * zonal_integrate(rule, profile, breakpoints=breaks)
+    lower = lambda t: kernel_profile(r, n, t) * (t < 0.0)
+    return 1.0 - 2.0 * (1.0 - r * r) * zonal_integrate(rule, lower, breakpoints=(0.0,))
 
 
 def direction_family(dim: int, count: int, scheme: str = "auto", seed: int = 0):

@@ -2,13 +2,12 @@
 
 The boundary datum attached to a solved moment system is a map
 S^{n-1} -> closed unit ball of R^{m+1} whose components depend on omega
-only through the latitude t = <omega, N>:
+only through the latitude t = <omega, N>.  ``solver.datum`` gives it:
 
-* b > 0:  u = A / sqrt(1 + |A|^2) and v = 1 / sqrt(1 + |A|^2) with
-  A = (g(t) l - lam) / mu, so |u|^2 + v^2 = 1 pointwise.
-* b = 0:  u = Acal / |Acal| (unimodular) and v = 0; with a vanishing
-  multiplier tail this degenerates to u_1 = sign(t - t*), the two-valued
-  datum jumping at the solved latitude t*.
+* b > 0:  the unit vector (u, v) of (g(t) l - lam, mu), mu > 0.
+* b = 0:  the same with mu = 0, so u is unimodular and v = 0; with a
+  vanishing multiplier tail this degenerates to u_1 = sign(t - t*), the
+  two-valued datum jumping at the solved latitude t*.
 * b < 0:  the datum for |b| with the last component negated; the first
   m components, and hence every first-coordinate functional, coincide
   with the |b| case.
@@ -18,13 +17,13 @@ The harmonic extension is the Poisson integral against
 integral of kernel_profile(|x|, n, t) times the datum; at a general
 point x = rho (cos(theta) N + sin(theta) e) it reduces to a biaxial
 integral, since |x - omega|^2 = 1 + rho^2 - 2 rho (t1 cos(theta)
-+ t2 sin(theta)).  Latitude jumps of the datum are forwarded to the
-rules as breakpoints.
++ t2 sin(theta)).  Latitude jumps of the datum, its turnover layer and,
+for r > 0.95, the polar cap where the kernel concentrates are forwarded
+to the rules as breakpoints.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +32,9 @@ import numpy as np
 from .solver import (
     LagrangeSolution,
     ProblemSpec,
-    kernel_inverse,
+    _axis_cap_breakpoints,
+    _crossing,
+    datum,
     kernel_profile,
     solve_positive_b,
     solve_zero_b,
@@ -64,29 +65,25 @@ __all__ = [
 class BoundaryMap:
     """Latitude-profile boundary datum together with its provenance.
 
-    ``u_profiles`` holds one callable per target component and
-    ``v_profile`` the last-coordinate profile; all accept latitude
-    arrays.  ``breakpoints`` lists latitudes where the profiles jump (or
-    concentrate curvature) and is forwarded to every quadrature.
+    ``components`` evaluates the datum of ``solution`` (see
+    ``solver.datum``), or the constant (a, b) when ``solution`` is None.
+    ``breakpoints`` lists latitudes where the datum jumps or concentrates
+    curvature, and where the kernel of radius spec.r concentrates; it is
+    forwarded to every quadrature.
     """
 
     spec: ProblemSpec
     branch: str
     solution: LagrangeSolution | None
-    u_profiles: tuple
-    v_profile: object
     breakpoints: tuple
     rule: QuadratureRule
-    b_sign: int = 1
 
     def components(self, t: np.ndarray) -> np.ndarray:
         """All m+1 component profiles stacked, shape (m+1, len(t))."""
-        t = np.asarray(t, dtype=float)
-        out = np.empty((self.spec.m + 1, t.size))
-        for j, prof in enumerate(self.u_profiles):
-            out[j] = np.broadcast_to(np.asarray(prof(t), dtype=float), t.shape)
-        out[self.spec.m] = np.broadcast_to(np.asarray(self.v_profile(t), dtype=float), t.shape)
-        return out
+        if self.solution is None:
+            t = np.asarray(t, dtype=float).reshape(-1)
+            return np.repeat(np.append(self.spec.a, self.spec.b)[:, None], t.size, axis=1)
+        return datum(self.spec, self.solution, t)
 
 
 @dataclass(frozen=True)
@@ -96,43 +93,6 @@ class MapEvaluation:
     x: np.ndarray
     value: np.ndarray
     quadrature_error_estimate: float
-
-
-def _datum_profiles(spec: ProblemSpec, lam: np.ndarray, mu: float, sign: int = 1):
-    # u = (g l - lam) / |(g l - lam, mu)|, v = mu / |(g l - lam, mu)|, formed
-    # without dividing by mu so that tiny mu neither over- nor underflows;
-    # mu = 0 gives the b = 0 datum Acal / |Acal| with v = 0.  Built on
-    # solver._unit_field instead, regular envelope sweeps ran 5% slower
-    scale = math.hypot(mu, *lam[1:])
-    r, n = spec.r, spec.n
-
-    def inv_den(t):
-        return 1.0 / np.hypot(kernel_profile(r, n, t) - lam[0], scale)
-
-    def first(t):
-        d = kernel_profile(r, n, t) - lam[0]
-        return d / np.hypot(d, scale)
-
-    u_profiles = [first]
-    for j in range(1, spec.m):
-        u_profiles.append(lambda t, lj=-lam[j]: lj * inv_den(t))
-    v_profile = lambda t, s=sign * mu: s * inv_den(t)
-    return tuple(u_profiles), v_profile
-
-
-def _zero_profiles(spec: ProblemSpec, sol: LagrangeSolution):
-    if sol.jump_point is not None:
-        t_star = sol.jump_point
-        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        u_profiles = [lambda t: np.sign(np.asarray(t, dtype=float) - t_star)]
-        u_profiles.extend([zero] * (spec.m - 1))
-        return tuple(u_profiles), zero, (t_star,)
-    lam, r, n = sol.lam, spec.r, spec.n
-    breaks = sol.breakpoints
-    if not breaks and kernel_profile(r, n, -1.0) < lam[0] < kernel_profile(r, n, 1.0):
-        # smooth datum, but curvature concentrates where Acal_1 crosses zero
-        breaks = (kernel_inverse(r, n, float(lam[0])),)
-    return (*_datum_profiles(spec, lam, 0.0), breaks)
 
 
 def boundary_map(
@@ -147,20 +107,18 @@ def boundary_map(
     """
     if rule is None:
         rule = zonal_rule(spec.n, DEFAULT_ORDER)
-    if spec.b > 0.0:
-        sol = solve_positive_b(spec, rule, **({} if tol is None else {"tol": tol}))
-        u_profiles, v_profile = _datum_profiles(spec, sol.lam, sol.mu)
-        return BoundaryMap(spec, "positive_b", sol, u_profiles, v_profile, sol.breakpoints, rule)
-    if spec.b < 0.0:
-        flipped = ProblemSpec(spec.n, spec.m, spec.r, spec.a, -spec.b)
-        sol = solve_positive_b(flipped, rule, **({} if tol is None else {"tol": tol}))
-        u_profiles, v_profile = _datum_profiles(flipped, sol.lam, sol.mu, sign=-1)
-        return BoundaryMap(
-            spec, "positive_b", sol, u_profiles, v_profile, sol.breakpoints, rule, b_sign=-1
-        )
-    sol = solve_zero_b(spec, rule, **({} if tol is None else {"tol": tol}))
-    u_profiles, v_profile, breaks = _zero_profiles(spec, sol)
-    return BoundaryMap(spec, "zero_b", sol, u_profiles, v_profile, breaks, rule)
+    kw = {} if tol is None else {"tol": tol}
+    if spec.b != 0.0:
+        solved = spec if spec.b > 0.0 else ProblemSpec(spec.n, spec.m, spec.r, spec.a, -spec.b)
+        sol = solve_positive_b(solved, rule, **kw)
+        return BoundaryMap(spec, "positive_b", sol, sol.breakpoints, rule)
+    sol = solve_zero_b(spec, rule, **kw)
+    if sol.jump_point is not None:
+        return BoundaryMap(spec, "zero_b", sol, (sol.jump_point,), rule)
+    # a smooth datum, but curvature concentrates where u_1 crosses zero
+    t_star = _crossing(spec, float(sol.lam[0]))
+    breaks = sol.breakpoints if t_star is None else tuple(sorted({*sol.breakpoints, t_star}))
+    return BoundaryMap(spec, "zero_b", sol, breaks, rule)
 
 
 def constant_map(spec: ProblemSpec, rule: QuadratureRule | None = None) -> BoundaryMap:
@@ -172,34 +130,7 @@ def constant_map(spec: ProblemSpec, rule: QuadratureRule | None = None) -> Bound
     """
     if rule is None:
         rule = zonal_rule(spec.n, DEFAULT_ORDER)
-    consts = [lambda t, aj=float(aj): np.full(np.asarray(t, dtype=float).shape, aj) for aj in spec.a]
-    v_profile = lambda t: np.full(np.asarray(t, dtype=float).shape, spec.b)
-    return BoundaryMap(spec, "constant", None, tuple(consts), v_profile, (), rule)
-
-
-def _axis_kernel(n: int, rho: float, t: np.ndarray) -> np.ndarray:
-    return (1.0 - rho * rho) * kernel_profile(rho, n, t)
-
-
-def _axis_cap_breakpoints(rho: float) -> tuple:
-    """Graded latitudes packing the polar cap of width 1 - rho.
-
-    The axis Poisson kernel concentrates there as rho -> 1 and a plain
-    Gauss rule goes blind below cap width ~5e-2; geometric panels keep
-    the panel-size to pole-distance ratio bounded, so each panel stays
-    spectrally accurate.  The kernel's branch point lies (1-rho)^2/(2rho)
-    past t = 1, so the grading continues below the cap width until the
-    panels resolve that scale too.  Empty while the plain rule suffices.
-    """
-    d = 1.0 - rho
-    if d >= 0.05:
-        return ()
-    d = max(d * d / (2.0 * rho), 1e-13)
-    pts = []
-    while d < 0.4:
-        pts.append(1.0 - d)
-        d *= 4.0
-    return tuple(sorted(pts))
+    return BoundaryMap(spec, "constant", None, (), rule)
 
 
 def eval_on_axis(bmap: BoundaryMap, rho: float) -> MapEvaluation:
@@ -218,7 +149,8 @@ def eval_on_axis(bmap: BoundaryMap, rho: float) -> MapEvaluation:
     def value_with(rule: QuadratureRule) -> np.ndarray:
         t, w = segmented_nodes(rule, breaks)
         comps = bmap.components(np.append(t, 1.0))  # the last column is u(N)
-        return comps[:, -1] + (comps[:, :-1] - comps[:, -1:]) @ (w * _axis_kernel(n, rho, t))
+        kernel = (1.0 - rho * rho) * kernel_profile(rho, n, t)
+        return comps[:, -1] + (comps[:, :-1] - comps[:, -1:]) @ (w * kernel)
 
     value = value_with(bmap.rule)
     coarse = value_with(zonal_rule(n, max(bmap.rule.order // 2, 8)))

@@ -319,14 +319,18 @@ class AdmissibleMixture:
         res_a = 0.0
         slack = 0.0
         for w, comp in zip(self.mix, self.components):
-            t, wt = segmented_nodes(comp.rule, comp.breakpoints)
-            comps = comp.components(t)
-            u = comps[: self.spec.m]
-            res_a += w * np.abs(u @ wt - self.spec.a).max()
-            norms2 = np.einsum("ij,ij->j", u, u)
-            root = np.sqrt(np.clip(1.0 - norms2, 0.0, None))
-            slack += w * float(wt @ root)
+            error, mass = _mean_error_and_mass(comp, self.spec)
+            res_a += w * error
+            slack += w * mass
         return float(res_a), float(max(self.spec.b - slack, 0.0))
+
+
+def _mean_error_and_mass(comp: BoundaryMap, spec: ProblemSpec) -> tuple[float, float]:
+    """max |int u - a| and the concave mass int sqrt(1 - |u|^2) of one datum."""
+    t, wt = segmented_nodes(comp.rule, comp.breakpoints)
+    u = comp.components(t)[: spec.m]
+    root = np.sqrt(np.clip(1.0 - np.einsum("ij,ij->j", u, u), 0.0, None))
+    return float(np.abs(u @ wt - spec.a).max()), float(wt @ root)
 
 
 def admissible_mixture(spec: ProblemSpec, components) -> AdmissibleMixture:
@@ -335,12 +339,9 @@ def admissible_mixture(spec: ProblemSpec, components) -> AdmissibleMixture:
     Every component must carry the mean a of ``spec`` and at least the
     b-level of concave mass; weights must be a convex combination.
     """
-    maps = []
-    mix = []
-    for comp, w in components:
-        maps.append(comp)
-        mix.append(float(w))
-    mix = np.asarray(mix, dtype=float)
+    pairs = list(components)
+    maps = [comp for comp, _ in pairs]
+    mix = np.array([float(w) for _, w in pairs])
     if mix.size == 0:
         raise ValueError("mixture needs at least one component")
     if np.any(mix < -1e-15) or abs(float(mix.sum()) - 1.0) > 1e-12:
@@ -350,13 +351,10 @@ def admissible_mixture(spec: ProblemSpec, components) -> AdmissibleMixture:
             raise ValueError("mixture components must share the problem dimensions")
         if not np.allclose(comp.spec.a, spec.a, atol=1e-12):
             raise ValueError("mixture components must share the mean constraint a")
-        t, wt = segmented_nodes(comp.rule, comp.breakpoints)
-        u = comp.components(t)[: spec.m]
-        if float(np.abs(u @ wt - spec.a).max()) > 1e-6:
+        error, mass = _mean_error_and_mass(comp, spec)
+        if error > 1e-6:
             raise ValueError("component datum does not meet its mean constraint")
-        norms2 = np.einsum("ij,ij->j", u, u)
-        root = np.sqrt(np.clip(1.0 - norms2, 0.0, None))
-        if float(wt @ root) < spec.b - 1e-9:
+        if mass < spec.b - 1e-9:
             raise ValueError("component datum falls short of the b constraint")
     return AdmissibleMixture(spec=spec, components=tuple(maps), mix=mix)
 

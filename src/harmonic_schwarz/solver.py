@@ -7,22 +7,16 @@ driven by the latitude kernel
 
     g(t) = (1 + r^2 - 2 r t)^{-n/2},  t = <omega, N>,
 
-through a field that is affine in g along the first coordinate:
+through a field that is affine in g along the first coordinate.  The
+datum is the unit vector
 
-* b > 0:  A(omega) = (g(t) * l - lam) / mu with l = (1, 0, ..., 0),
-  boundary datum u = A / sqrt(1 + |A|^2), and multipliers (lam, mu),
-  mu > 0, fixed by the moment conditions
+    (u, v) = (g(t) l - lam, mu) / |(g(t) l - lam, mu)|,  l = (1, 0, ..., 0),
 
-      R(lam, mu) = int A / sqrt(1 + |A|^2) dsigma = a,
-      I(lam, mu) = int 1 / sqrt(1 + |A|^2) dsigma = b.
-
-* b = 0:  the datum degenerates to u = Acal / |Acal| with
-  Acal(omega) = g(t) * l - lam and the single condition
-  Rcal(lam) = int Acal / |Acal| dsigma = a.
-
-Both systems are the optimality conditions of one convex dual.  The
-datum is the unit vector of (g(t) l - lam, mu) (mu = 0 when b = 0), and
-its multipliers minimize
+with multipliers lam in R^m and mu > 0 fixed by the moment conditions
+int u dsigma = a and int v dsigma = b.  On the b = 0 branch mu = 0, and
+with a vanishing multiplier tail the datum is u_1 = sign(t - t*).
+Both branches are the optimality conditions of one convex dual: the
+multipliers minimize
 
     q(lam, mu) = lam . a - mu b + int |(g l - lam, mu)| dsigma.
 
@@ -44,8 +38,10 @@ apart: the datum is then sign(t - t*) and t* fixes the cap mass; so is
 rho below 1e-300, whose datum equals the face's to rounding.  Small
 rho makes the datum turn over inside a thin latitude layer around the
 crossing g(t) = x that no fixed Gauss rule resolves, so every iterate
-integrates on the rule segmented geometrically around its own crossing,
-whose narrow panels take a fixed low order (see ``sphere.segmented_nodes``).
+integrates on the rule segmented geometrically around its own crossing
+and, once r > 0.95, toward the kernel's pole (1 - r)^2 / (2r) beyond
+t = 1; the narrow panels take a fixed low order (see
+``sphere.segmented_nodes``).
 Negative b is never solved directly: callers flip the sign of the last
 target coordinate and negate the matching component of the map
 afterwards.
@@ -76,7 +72,7 @@ __all__ = [
     "LagrangeSolution",
     "kernel_profile",
     "kernel_inverse",
-    "field_A",
+    "datum",
     "moments_RI",
     "jacobian_RI",
     "moments_Rcal",
@@ -167,6 +163,36 @@ def _kernel_slope(r: float, n: int, t: float) -> float:
     return n * r * ((1.0 - r) ** 2 + 2.0 * r * (1.0 - t)) ** (-0.5 * n - 1.0)
 
 
+def _crossing(spec: ProblemSpec, level: float) -> float | None:
+    """Latitude t* with g(t*) = level, or None when g never takes it."""
+    r, n = spec.r, spec.n
+    if kernel_profile(r, n, -1.0) < level < kernel_profile(r, n, 1.0):
+        return kernel_inverse(r, n, level)
+    return None
+
+
+def _axis_cap_breakpoints(rho: float) -> tuple:
+    """Graded latitudes packing the polar cap of width 1 - rho.
+
+    The axis kernel kernel_profile(rho, n, t) concentrates there as
+    rho -> 1 and a plain Gauss rule goes blind below cap width ~5e-2;
+    geometric panels keep the panel-size to pole-distance ratio bounded,
+    so each panel stays spectrally accurate.  The kernel's branch point
+    lies (1-rho)^2/(2rho) past t = 1, so the grading continues below the
+    cap width until the panels resolve that scale too.  Empty while the
+    plain rule suffices.
+    """
+    d = 1.0 - rho
+    if d >= 0.05:
+        return ()
+    d = max(d * d / (2.0 * rho), 1e-13)
+    pts = []
+    while d < 0.4:
+        pts.append(1.0 - d)
+        d *= 4.0
+    return tuple(sorted(pts))
+
+
 def _graded_partition(t_star: float, delta: float) -> tuple:
     """Latitudes packing panels geometrically around t_star, innermost
     half-width delta; panel size over distance-to-t_star stays bounded,
@@ -183,7 +209,8 @@ def _graded_partition(t_star: float, delta: float) -> tuple:
 
 
 def _layer_breakpoints(spec: ProblemSpec, lam1: float, scale: float) -> tuple:
-    """Graded latitude partition resolving the turnover layer of the datum.
+    """Graded latitude partition resolving the turnover layer of the datum
+    and the pole of the kernel.
 
     The first datum component turns over where g(t) crosses lam1, inside
     a layer of latitude width ~ scale/g'(t*) around t* = g^{-1}(lam1);
@@ -191,33 +218,27 @@ def _layer_breakpoints(spec: ProblemSpec, lam1: float, scale: float) -> tuple:
     (mu sqrt(1+c2) on the positive branch, the tail field norm on the
     degenerate one).  A plain Gauss rule goes blind once that width
     drops below ~5e-2 (the datum's analyticity strip shrinks with it),
-    so the crossing gets bracketed by graded panels.  Returns () when g
-    never crosses lam1 or the layer is wide enough already.
+    so the crossing gets bracketed by graded panels.  g itself
+    concentrates in the polar cap of width 1 - r, which gets
+    ``_axis_cap_breakpoints(r)``.  Returns () when g never crosses lam1
+    or the layer is wide enough already, and r <= 0.95.
     """
-    r, n = spec.r, spec.n
-    if not kernel_profile(r, n, -1.0) < lam1 < kernel_profile(r, n, 1.0):
-        return ()
-    t_star = kernel_inverse(r, n, lam1)
-    eps = scale / _kernel_slope(r, n, t_star)
+    cap = _axis_cap_breakpoints(spec.r)
+    t_star = _crossing(spec, lam1)
+    if t_star is None:
+        return cap
+    eps = scale / _kernel_slope(spec.r, spec.n, t_star)
     if eps >= 0.05:
-        return ()
-    return _graded_partition(t_star, max(8.0 * eps, 1e-12))
+        return cap
+    return tuple(sorted({*_graded_partition(t_star, max(8.0 * eps, 1e-12)), *cap}))
 
 
-def field_A(spec: ProblemSpec, lam, mu: float, t):
-    """Multiplier field (g(t) * l - lam) / mu; shape (m,) or (len(t), m)."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (spec.m,):
-        raise ValueError(f"lam must have shape ({spec.m},), got {lam.shape}")
-    if not mu > 0.0:
-        raise ValueError(f"need mu > 0, got mu={mu}")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    g = kernel_profile(spec.r, spec.n, t_arr)
-    out = np.tile(-lam / mu, (t_arr.size, 1))
-    out[:, 0] += g / mu
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return out[0]
-    return out
+def _field(spec: ProblemSpec, x: float, s: float, t):
+    """d = g(t) - x and R = hypot(d, s): the datum is the unit vector of a
+    field whose first component is d and whose other components have
+    norm s."""
+    d = kernel_profile(spec.r, spec.n, t) - x
+    return d, np.hypot(d, s)
 
 
 def _unit_field(spec: ProblemSpec, lam, mu: float, t: np.ndarray):
@@ -225,14 +246,20 @@ def _unit_field(spec: ProblemSpec, lam, mu: float, t: np.ndarray):
     s = |(lam_2..lam_m, mu)|: with d = g(t) - lam_1 and R = hypot(d, s)
     returns u = d / R, sigma = s / R, 1 / R, (lam_2..lam_m) / s and mu / s.
     Nothing divides by mu, so tiny mu neither under- nor overflows; s = 0
-    gives the sign datum.  A = (g l - lam) / mu has 1 / sqrt(1 + |A|^2)
-    = (mu / s) sigma."""
+    gives the sign datum."""
     lam = np.asarray(lam, dtype=float)
     s = math.hypot(mu, *lam[1:])
-    d = kernel_profile(spec.r, spec.n, t) - lam[0]
-    inv = 1.0 / np.hypot(d, s)
+    d, big_r = _field(spec, lam[0], s, t)
+    inv = 1.0 / big_r
     tail, zeta = (lam[1:] / s, mu / s) if s > 0.0 else (lam[1:], 0.0)
     return d * inv, s * inv, inv, tail, zeta
+
+
+def _layer_integrals(w: np.ndarray, u, sigma, inv):
+    """P0 = int sigma^2 / R, P1 = int u sigma / R and P2 = int u^2 / R:
+    the second derivatives of the dual and the moment Jacobian."""
+    wi = w * inv
+    return float(wi @ (sigma * sigma)), float(wi @ (u * sigma)), float(wi @ (u * u))
 
 
 def _moments(spec: ProblemSpec, lam, mu: float, t: np.ndarray, w: np.ndarray):
@@ -240,6 +267,28 @@ def _moments(spec: ProblemSpec, lam, mu: float, t: np.ndarray, w: np.ndarray):
     u, sigma, _, tail, zeta = _unit_field(spec, lam, mu, t)
     value_j = float(w @ sigma)
     return np.concatenate(([float(w @ u)], -tail * value_j)), zeta * value_j
+
+
+def datum(spec: ProblemSpec, sol: LagrangeSolution, t) -> np.ndarray:
+    """The extremal datum of ``sol`` at latitudes t, shape (m+1, len(t)).
+
+    The unit vector of (g(t) - lam_1, -lam_2..-lam_m, mu), with mu = 0 on
+    the b = 0 branch and the last component carrying the sign of spec.b
+    (a solution of the |b| problem serves negative b); sign(t - t*) on
+    the first component when the solution has a jump point.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    out = np.zeros((spec.m + 1, t.size))
+    if sol.jump_point is not None:
+        out[0] = np.sign(t - sol.jump_point)
+        return out
+    lam, mu = sol.lam, sol.mu or 0.0
+    d, big_r = _field(spec, lam[0], math.hypot(mu, *lam[1:]), t)
+    inv = 1.0 / big_r
+    out[0] = d / big_r
+    out[1 : spec.m] = -lam[1:, None] * inv
+    out[spec.m] = math.copysign(mu, spec.b) * inv
+    return out
 
 
 def moments_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule):
@@ -258,9 +307,10 @@ def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule) -> np.n
     """Jacobian of (R, I) with respect to (lam, mu), shape (m+1, m+1).
 
     With R = hypot(g - lam_1, s), l_j = lam_j / s and z = mu / s as in
-    ``_unit_field`` (|l|^2 + z^2 = 1), the entries reduce to three scalar
-    integrals P0 = int s^2 / R^3, P1 = int s (g - lam_1) / R^3 and
-    P2 = int (g - lam_1)^2 / R^3, each formed without dividing by mu:
+    ``_unit_field`` (|l|^2 + z^2 = 1), the entries reduce to the three
+    scalar integrals of ``_layer_integrals``, P0 = int s^2 / R^3,
+    P1 = int s (g - lam_1) / R^3 and P2 = int (g - lam_1)^2 / R^3, each
+    formed without dividing by mu:
 
         dR_1/dlam_1 = -P0,   dR_1/dlam_j = dR_j/dlam_1 = -l_j P1,
         dR_j/dlam_i = l_i l_j P0 - [i = j] (P0 + P2)      (i, j >= 2),
@@ -271,10 +321,7 @@ def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule) -> np.n
         raise ValueError(f"need mu > 0, got mu={mu}")
     m = spec.m
     u, sigma, inv, tail, zeta = _unit_field(spec, lam, mu, rule.nodes)
-    wi = rule.weights * inv
-    p0 = float(wi @ (sigma * sigma))
-    p1 = float(wi @ (u * sigma))
-    p2 = float(wi @ (u * u))
+    p0, p1, p2 = _layer_integrals(rule.weights, u, sigma, inv)
     jac = np.empty((m + 1, m + 1))
     jac[0, 0] = -p0
     jac[0, 1:m] = jac[1:m, 0] = -tail * p1
@@ -292,17 +339,17 @@ def moments_Rcal(
 ) -> np.ndarray:
     """Constraint moments Rcal of the b = 0 field at lam.
 
-    The datum Acal / |Acal| is the mu = 0 end of the b > 0 one.  With a
-    vanishing tail it is a latitude sign function jumping where g(t)
-    crosses lam_1; otherwise it bends there, the sharper the smaller the
-    tail.  Either way the rule is segmented at that crossing, unless
-    ``breakpoints`` supplies a graded partition for a thin kink layer.
+    The datum, the unit vector of g(t) l - lam, is the mu = 0 end of the
+    b > 0 one.  With a vanishing tail it is a latitude sign function
+    jumping where g(t) crosses lam_1; otherwise it bends there, the
+    sharper the smaller the tail.  Either way the rule is segmented at
+    that crossing, unless ``breakpoints`` supplies a graded partition for
+    a thin kink layer.
     """
     lam = np.asarray(lam, dtype=float)
-    r, n = spec.r, spec.n
     if breakpoints is None or len(breakpoints) == 0:
-        crossing = kernel_profile(r, n, -1.0) < lam[0] < kernel_profile(r, n, 1.0)
-        breakpoints = [kernel_inverse(r, n, float(lam[0]))] if crossing else None
+        t_star = _crossing(spec, float(lam[0]))
+        breakpoints = None if t_star is None else [t_star]
     return _moments(spec, lam, 0.0, *segmented_nodes(rule, breakpoints))[0]
 
 
@@ -382,26 +429,27 @@ def _face_crossing(n: int, c1: float):
 def _dual_terms(spec: ProblemSpec, rule: QuadratureRule, c1, rho, f, x, y):
     """q, gradient, Hessian and int dsigma/R of the reduced dual at (x, y).
 
-    The rule is the given one segmented by the graded partition at the
-    crossing g(t) = x, rebuilt for every iterate; its breakpoints come
-    last.  Everything is formed from R and the datum's unit vector
+    The rule is the given one segmented by ``_layer_breakpoints`` at the
+    crossing g(t) = x and the kernel's pole, rebuilt for every iterate;
+    its breakpoints come last.  Everything is formed from R and the datum's unit vector
     (d, y, f) / R, so neither cancellation across the crossing nor
-    under- or overflow at tiny y enters.
+    under- or overflow at tiny y enters.  With s = |(y, f)| the Hessian
+    is [[P0, (y/s) P1], [(y/s) P1, P2 + (f/s)^2 P0]] in the integrals of
+    ``_layer_integrals``.
     """
     s = math.hypot(y, f)
     breaks = _layer_breakpoints(spec, x, s)
     t, w = segmented_nodes(rule, breaks)
-    d = kernel_profile(spec.r, spec.n, t) - x
-    big_r = np.hypot(d, s)
+    d, big_r = _field(spec, x, s, t)
     inv = 1.0 / big_r
-    u, v, z = d * inv, y * inv, f * inv
+    u = d * inv
     excess = big_r - d
     ahead = d > 0.0
     excess[ahead] = s * (s / (big_r[ahead] + d[ahead]))
     s0 = float(w @ inv)
-    wi = w * inv
-    h12 = float(wi @ (u * v))
-    hess = np.array([[float(wi @ (v * v + z * z)), h12], [h12, float(wi @ (u * u + z * z))]])
+    p0, p1, p2 = _layer_integrals(w, u, s * inv, inv)
+    cos, sin = (y / s, f / s) if f else (1.0, 0.0)
+    hess = np.array([[p0, cos * p1], [cos * p1, p2 + sin * sin * p0]])
     grad = np.array([c1 - float(w @ u), y * s0 - rho])
     q = x * (c1 - 1.0) - y * rho + float(w @ excess)
     return q, grad, hess, s0, breaks
@@ -556,35 +604,27 @@ def solve_zero_b(
             "|a| is within 1e-06 of the sphere; multipliers are boundary-adjacent"
         )
     rho = math.hypot(*spec.a[1:])
+    t_star, breaks = None, ()
     if rho < _FACE_RHO:
         lam, t_star, residual, evaluations = _solve_face(spec, rule, tol)
-        return LagrangeSolution(
-            branch="zero_b",
-            lam=lam,
-            mu=None,
-            residual=residual,
-            iterations=evaluations,
-            jump_point=t_star,
-            warnings=tuple(warnings),
+    else:
+        if rho < 1e-4:
+            warnings.append(
+                "|tail of a| below 1e-04: the datum is close to the two-valued "
+                "degenerate one and quadrature accuracy degrades"
+            )
+        x, y, terms, residual, evaluations = _minimize_dual(
+            spec, rule, spec.a[1:], 0.0, tol, _face_level(spec)
         )
-    if rho < 1e-4:
-        warnings.append(
-            "|tail of a| below 1e-04: the datum is close to the two-valued "
-            "degenerate one and quadrature accuracy degrades"
-        )
-    x, y, terms, residual, evaluations = _minimize_dual(
-        spec, rule, spec.a[1:], 0.0, tol, _face_level(spec)
-    )
-    lam = np.zeros(spec.m)
-    lam[0] = x
-    lam[1:] = -y * (spec.a[1:] / rho)
+        lam, breaks = np.concatenate(([x], -y * (spec.a[1:] / rho))), terms[4]
     return LagrangeSolution(
         branch="zero_b",
         lam=lam,
         mu=None,
         residual=residual,
         iterations=evaluations,
-        breakpoints=terms[4],
+        jump_point=t_star,
+        breakpoints=breaks,
         warnings=tuple(warnings),
     )
 

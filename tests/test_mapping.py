@@ -15,7 +15,6 @@ from harmonic_schwarz.mapping import (
     eval_batch,
     eval_general,
     eval_on_axis,
-    _datum_profiles,
 )
 from harmonic_schwarz.sphere import segmented_nodes
 
@@ -175,8 +174,7 @@ def test_constraint_residuals_flag_unconverged_multipliers():
     lam = bm.solution.lam.copy()
     lam[0] += 1e-3
     broken = dataclasses.replace(bm.solution, lam=lam)
-    u_profiles, v_profile = _datum_profiles(spec, broken.lam, broken.mu)
-    fake = BoundaryMap(spec, "positive_b", broken, u_profiles, v_profile, (), bm.rule)
+    fake = BoundaryMap(spec, "positive_b", broken, (), bm.rule)
     res_a, res_b = constraint_residuals(fake)
     assert res_a > 1e-4  # the diagnostic must see a multiplier this wrong
 

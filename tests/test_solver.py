@@ -11,7 +11,6 @@ from scipy.special import betaincinv
 from harmonic_schwarz import (
     ProblemSpec,
     SolverError,
-    field_A,
     jacobian_RI,
     kernel_inverse,
     kernel_profile,
@@ -24,7 +23,7 @@ from harmonic_schwarz import (
     zonal_integrate,
     zonal_rule,
 )
-from harmonic_schwarz.bounds import axis_bound
+from harmonic_schwarz.bounds import axis_bound, directional_bound
 from harmonic_schwarz.sphere import segmented_nodes
 
 
@@ -61,23 +60,6 @@ def test_kernel_inverse_round_trip():
     for t in (-0.9, -0.2, 0.0, 0.55, 0.99):
         y = kernel_profile(0.6, 5, t)
         assert kernel_inverse(0.6, 5, y) == pytest.approx(t, abs=1e-12)
-
-
-def test_field_A_components():
-    spec = ProblemSpec(n=3, m=2, r=0.4, a=np.array([0.1, 0.1]), b=0.2)
-    g_val = kernel_profile(0.4, 3, 0.3)
-    out = field_A(spec, np.array([g_val, 1.0]), 2.0, 0.3)
-    np.testing.assert_allclose(out, [0.0, -0.5], atol=1e-15)
-
-    plain = field_A(spec, np.zeros(2), 1.0, 0.3)
-    np.testing.assert_allclose(plain, [g_val, 0.0], atol=1e-15)
-    np.testing.assert_allclose(field_A(spec, np.zeros(2), 4.0, 0.3), plain / 4.0, atol=1e-15)
-
-
-def test_field_A_requires_positive_mu():
-    spec = ProblemSpec(n=3, m=1, r=0.4, a=np.array([0.1]), b=0.2)
-    with pytest.raises(ValueError):
-        field_A(spec, np.zeros(1), 0.0, 0.0)
 
 
 def test_moments_limits_large_mu():
@@ -459,6 +441,22 @@ def test_layer_partition_ending_next_to_a_pole_keeps_off_it():
     c1, rho = -0.5260410435335988, 2.9562979532567408e-09
     value = axis_bound(ProblemSpec(n=2, m=2, r=0.99, a=np.array([c1, 0.0]), b=rho)).value
     assert value == pytest.approx(reduced_dual_min(2, 0.99, c1, rho), abs=1e-10)
+
+
+def test_dual_near_r_1_sees_the_pole_of_the_kernel():
+    # r > 0.95 with the crossing off the polar cap: the kernel's mass sits
+    # within 1 - r of the pole, and on a partition that does not grade
+    # toward it the dual converged to 0.67994
+    a, b = np.array([-0.023537524836981353, -0.9748920586775901]), 0.22094841746991806
+    e = np.array([-0.9932179793065812, -0.10640727956750134, -0.046856551699791284])
+    spec = ProblemSpec(n=2, m=2, r=0.9987817340970558, a=a, b=b)
+    result = directional_bound(spec, e)
+    c = np.append(a, b)
+    c1 = float(c @ e)
+    rho = float(np.linalg.norm(c - c1 * e))
+    assert result.value == pytest.approx(reduced_dual_min(2, spec.r, c1, rho), abs=1e-10)
+    assert result.value == pytest.approx(0.49565106098170175, abs=1e-10)
+    assert max(result.residuals) < 1e-10
 
 
 @settings(max_examples=50, deadline=None)
