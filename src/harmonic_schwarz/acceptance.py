@@ -125,18 +125,16 @@ def moments() -> CriterionResult:
         rule = zonal_rule(spec.n)
         if spec.b > 0.0:
             sol = solve_positive_b(spec, rule)
-            check = rule
-            if sol.breakpoints:
-                # thin-layer datum: evaluate where the layer is visible
-                t, w = segmented_nodes(rule, sol.breakpoints)
-                check = QuadratureRule(n=spec.n, nodes=t, weights=w)
-            moved, mass = moments_RI(spec, sol.lam, sol.mu, check)
+            # the solution's own rule, on which a thin layer is visible
+            t, w = segmented_nodes(rule, sol.breakpoints, sol.layer)
+            check = QuadratureRule(n=spec.n, nodes=t, weights=w)
+            moved, mass = moments_RI(spec, sol.lam, sol.mu, check, sol.layer)
             res = max(float(np.abs(moved - spec.a).max()), abs(mass - spec.b))
             worst_pos = max(worst_pos, res)
             n_pos += 1
         else:
             sol = solve_zero_b(spec, rule)
-            moved = moments_Rcal(spec, sol.lam, rule, breakpoints=sol.breakpoints or None)
+            moved = moments_Rcal(spec, sol.lam, rule, sol.breakpoints, sol.layer)
             worst_zero = max(worst_zero, float(np.abs(moved - spec.a).max()))
             n_zero += 1
     elapsed = time.perf_counter() - t0

@@ -46,9 +46,9 @@ class BoundResult:
     """A directional bound with its extremal witness.
 
     ``witness`` is the boundary map of the rotated problem whose
-    first-coordinate axis functional attains ``value``; ``residuals``
-    are its membership residuals (how well the witness meets the center
-    constraints).
+    first-coordinate axis functional attains ``value``, ``residuals`` its
+    membership residuals (how well it meets the center constraints) and
+    ``quadrature_error_estimate`` the one ``eval_on_axis`` gave ``value``.
     """
 
     spec: ProblemSpec
@@ -56,6 +56,7 @@ class BoundResult:
     value: float
     witness: BoundaryMap
     residuals: tuple[float, float]
+    quadrature_error_estimate: float
 
 
 @dataclass(frozen=True)
@@ -87,15 +88,16 @@ def axis_bound(
 ) -> BoundResult:
     """Sharp bound for the first target coordinate on the closed r-ball."""
     witness = boundary_map(spec, rule, tol=tol)
-    value = float(eval_on_axis(witness, spec.r).value[0])
+    edge = eval_on_axis(witness, spec.r)
     direction = np.zeros(spec.m + 1)
     direction[0] = 1.0
     return BoundResult(
         spec=spec,
         direction=direction,
-        value=value,
+        value=float(edge.value[0]),
         witness=witness,
         residuals=constraint_residuals(witness),
+        quadrature_error_estimate=edge.quadrature_error_estimate,
     )
 
 
@@ -116,6 +118,7 @@ def directional_bound(
         value=inner.value,
         witness=inner.witness,
         residuals=inner.residuals,
+        quadrature_error_estimate=inner.quadrature_error_estimate,
     )
 
 

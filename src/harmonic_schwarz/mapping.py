@@ -17,9 +17,9 @@ The harmonic extension is the Poisson integral against
 integral of kernel_profile(|x|, n, t) times the datum; at a general
 point x = rho (cos(theta) N + sin(theta) e) it reduces to a biaxial
 integral, since |x - omega|^2 = 1 + rho^2 - 2 rho (t1 cos(theta)
-+ t2 sin(theta)).  Latitude jumps of the datum, its turnover layer and,
-for r > 0.95, the polar cap where the kernel concentrates are forwarded
-to the rules as breakpoints.
++ t2 sin(theta)).  Latitude jumps of the datum and, for r > 0.95, the
+polar cap where the kernel concentrates reach the rules as breakpoints,
+a thin turnover layer as its own sinh-mapped panel (``solver.Layer``).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 
 from .solver import (
     LagrangeSolution,
+    Layer,
     ProblemSpec,
     _axis_cap_breakpoints,
     _crossing,
@@ -68,8 +69,8 @@ class BoundaryMap:
     ``components`` evaluates the datum of ``solution`` (see
     ``solver.datum``), or the constant (a, b) when ``solution`` is None.
     ``breakpoints`` lists latitudes where the datum jumps or concentrates
-    curvature, and where the kernel of radius spec.r concentrates; it is
-    forwarded to every quadrature.
+    curvature, and where the kernel of radius spec.r concentrates; they
+    and the solution's turnover ``layer`` go to every quadrature.
     """
 
     spec: ProblemSpec
@@ -77,6 +78,7 @@ class BoundaryMap:
     solution: LagrangeSolution | None
     breakpoints: tuple
     rule: QuadratureRule
+    layer: Layer | None = None
 
     def components(self, t: np.ndarray) -> np.ndarray:
         """All m+1 component profiles stacked, shape (m+1, len(t))."""
@@ -111,14 +113,14 @@ def boundary_map(
     if spec.b != 0.0:
         solved = spec if spec.b > 0.0 else ProblemSpec(spec.n, spec.m, spec.r, spec.a, -spec.b)
         sol = solve_positive_b(solved, rule, **kw)
-        return BoundaryMap(spec, "positive_b", sol, sol.breakpoints, rule)
+        return BoundaryMap(spec, "positive_b", sol, sol.breakpoints, rule, sol.layer)
     sol = solve_zero_b(spec, rule, **kw)
     if sol.jump_point is not None:
         return BoundaryMap(spec, "zero_b", sol, (sol.jump_point,), rule)
     # a smooth datum, but curvature concentrates where u_1 crosses zero
-    t_star = _crossing(spec, float(sol.lam[0]))
+    t_star = None if sol.layer else _crossing(spec, float(sol.lam[0]))
     breaks = sol.breakpoints if t_star is None else tuple(sorted({*sol.breakpoints, t_star}))
-    return BoundaryMap(spec, "zero_b", sol, breaks, rule)
+    return BoundaryMap(spec, "zero_b", sol, breaks, rule, sol.layer)
 
 
 def constant_map(spec: ProblemSpec, rule: QuadratureRule | None = None) -> BoundaryMap:
@@ -147,7 +149,7 @@ def eval_on_axis(bmap: BoundaryMap, rho: float) -> MapEvaluation:
     breaks = tuple(sorted({*bmap.breakpoints, *_axis_cap_breakpoints(rho)}))
 
     def value_with(rule: QuadratureRule) -> np.ndarray:
-        t, w = segmented_nodes(rule, breaks)
+        t, w = segmented_nodes(rule, breaks, bmap.layer)
         comps = bmap.components(np.append(t, 1.0))  # the last column is u(N)
         kernel = (1.0 - rho * rho) * kernel_profile(rho, n, t)
         return comps[:, -1] + (comps[:, :-1] - comps[:, -1:]) @ (w * kernel)
@@ -194,7 +196,7 @@ def eval_batch(bmap: BoundaryMap, points: np.ndarray, rule: BiaxialRule | None =
         raise ValueError(f"points must have shape (B, {n})")
     if rule is None:
         rule = _default_biaxial(n, bmap.rule.order)
-    t1, t2, w = segmented_pairs(rule, bmap.breakpoints)
+    t1, t2, w = segmented_pairs(rule, bmap.breakpoints, bmap.layer)
     comps = bmap.components(t1)  # (m+1, K)
     out = np.empty((points.shape[0], bmap.spec.m + 1))
     chunk = max(1, int(2e6) // max(t1.size, 1))
@@ -228,7 +230,7 @@ def constraint_residuals(bmap: BoundaryMap, rule: QuadratureRule | None = None):
     """Membership residuals (|int u - a|, |int v - b|) of the datum."""
     if rule is None:
         rule = bmap.rule
-    t, w = segmented_nodes(rule, bmap.breakpoints)
+    t, w = segmented_nodes(rule, bmap.breakpoints, bmap.layer)
     comps = bmap.components(t)
     means = comps @ w
     res_a = float(np.linalg.norm(means[: bmap.spec.m] - bmap.spec.a))

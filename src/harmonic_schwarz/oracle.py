@@ -327,7 +327,7 @@ class AdmissibleMixture:
 
 def _mean_error_and_mass(comp: BoundaryMap, spec: ProblemSpec) -> tuple[float, float]:
     """max |int u - a| and the concave mass int sqrt(1 - |u|^2) of one datum."""
-    t, wt = segmented_nodes(comp.rule, comp.breakpoints)
+    t, wt = segmented_nodes(comp.rule, comp.breakpoints, comp.layer)
     u = comp.components(t)[: spec.m]
     root = np.sqrt(np.clip(1.0 - np.einsum("ij,ij->j", u, u), 0.0, None))
     return float(np.abs(u @ wt - spec.a).max()), float(wt @ root)

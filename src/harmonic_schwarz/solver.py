@@ -38,10 +38,9 @@ apart: the datum is then sign(t - t*) and t* fixes the cap mass; so is
 rho below 1e-300, whose datum equals the face's to rounding.  Small
 rho makes the datum turn over inside a thin latitude layer around the
 crossing g(t) = x that no fixed Gauss rule resolves, so every iterate
-integrates on the rule segmented geometrically around its own crossing
-and, once r > 0.95, toward the kernel's pole (1 - r)^2 / (2r) beyond
-t = 1; the narrow panels take a fixed low order (see
-``sphere.segmented_nodes``).
+integrates that layer on one panel of its own, sinh-mapped in the log
+of the kernel level (``Layer``), and, once r > 0.95, grades the rest
+toward the kernel's pole (1 - r)^2 / (2r) beyond t = 1.
 Negative b is never solved directly: callers flip the sign of the last
 target coordinate and negate the matching component of the map
 afterwards.
@@ -51,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .errors import SolverError
 from .sphere import (
     DEFAULT_ORDER,
     QuadratureRule,
+    _base_jacobi,
     _segment_rule,
     _zonal_constant,
     segmented_nodes,
@@ -70,6 +71,7 @@ MAX_TARGET_DIM = 8
 __all__ = [
     "ProblemSpec",
     "LagrangeSolution",
+    "Layer",
     "kernel_profile",
     "kernel_inverse",
     "datum",
@@ -117,16 +119,28 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True)
+class Layer:
+    """The datum's turnover layer: a rule for [lo, hi], exact g(t) - level at its nodes."""
+
+    level: float
+    lo: float
+    hi: float
+    nodes: np.ndarray
+    weights: np.ndarray
+    offsets: np.ndarray
+
+
+@dataclass(frozen=True)
 class LagrangeSolution:
     """Solved multipliers plus convergence diagnostics.
 
     ``mu`` is None on the b = 0 branch, ``jump_point`` is the latitude
     of the sign jump and is only set when that branch degenerates to
     two-valued data (zero multiplier tail).  ``iterations`` counts
-    evaluations of the reduced dual, or of the cap mass on that face.  ``breakpoints`` lists the
-    graded latitude partition used to resolve a thin transition layer of
-    the datum (empty for well-resolved solutions); quadratures of the
-    datum must be segmented there to see the layer.
+    evaluations of the reduced dual, or of the cap mass on that face.
+    ``breakpoints`` and ``layer`` are the panel edges and turnover layer
+    of the rule the solve ended on (empty, None if not needed); the
+    datum's quadratures take both: ``segmented_nodes(rule, breakpoints, layer)``.
     """
 
     branch: str
@@ -136,6 +150,7 @@ class LagrangeSolution:
     iterations: int
     jump_point: float | None = None
     breakpoints: tuple[float, ...] = ()
+    layer: Layer | None = None
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -164,11 +179,10 @@ def _kernel_slope(r: float, n: int, t: float) -> float:
 
 
 def _crossing(spec: ProblemSpec, level: float) -> float | None:
-    """Latitude t* with g(t*) = level, or None when g never takes it."""
-    r, n = spec.r, spec.n
-    if kernel_profile(r, n, -1.0) < level < kernel_profile(r, n, 1.0):
-        return kernel_inverse(r, n, level)
-    return None
+    """Latitude t* with g(t*) = level, or None when g takes it at no latitude
+    of (-1, 1) (the rounded inverse decides next to a pole)."""
+    t_star = kernel_inverse(spec.r, spec.n, level) if level > 0.0 else -1.0
+    return t_star if -1.0 < t_star < 1.0 else None
 
 
 def _axis_cap_breakpoints(rho: float) -> tuple:
@@ -193,55 +207,64 @@ def _axis_cap_breakpoints(rho: float) -> tuple:
     return tuple(sorted(pts))
 
 
-def _graded_partition(t_star: float, delta: float) -> tuple:
-    """Latitudes packing panels geometrically around t_star, innermost
-    half-width delta; panel size over distance-to-t_star stays bounded,
-    so one partition resolves features of every width >= delta at once.
-    Points nearer a pole than a quarter of their distance to t_star are
-    dropped, so the pole's Jacobi weight takes the density's singularity."""
-    pts = [t_star]
-    d = delta
-    while d < 0.4:
-        pts.append(t_star - d)
-        pts.append(t_star + d)
-        d *= 4.0
-    return tuple(sorted(p for p in pts if 1.0 - abs(p) > max(0.25 * abs(p - t_star), 1e-12)))
+def _layer_rule(spec: ProblemSpec, x: float, s: float):
+    """(breakpoints, layer) of the rule integrating the dual at (x, s).
 
-
-def _layer_breakpoints(spec: ProblemSpec, lam1: float, scale: float) -> tuple:
-    """Graded latitude partition resolving the turnover layer of the datum
-    and the pole of the kernel.
-
-    The first datum component turns over where g(t) crosses lam1, inside
-    a layer of latitude width ~ scale/g'(t*) around t* = g^{-1}(lam1);
-    ``scale`` is the size of |g - lam1| at which the turnover saturates
-    (mu sqrt(1+c2) on the positive branch, the tail field norm on the
-    degenerate one).  A plain Gauss rule goes blind once that width
-    drops below ~5e-2 (the datum's analyticity strip shrinks with it),
-    so the crossing gets bracketed by graded panels.  g itself
-    concentrates in the polar cap of width 1 - r, which gets
-    ``_axis_cap_breakpoints(r)``.  Returns () when g never crosses lam1
-    or the layer is wide enough already, and r <= 0.95.
+    The datum turns over where g crosses x, within eps = s / g'(t*) of
+    t* = g^{-1}(x).  Once eps < 5e-2 (too thin for a plain Gauss rule)
+    the layer gets the panel [t* - h, t* + h], h half the distance to the
+    nearer pole, and the far side is graded toward that pole (its weight
+    is singular for even n).  The panel is integrated in the log-level
+    v = log(g / x), where d = g - x = x expm1(v) is exact at any s and
+    t(v) is entire, with no cap breakpoints (g's pole is at v = infinity):
+    v = +-(s / x) sinh(tau), 16 Gauss points on tau-pieces at most 3 long
+    (Johnston and Elliott), so the node count grows as log(1 / s).
     """
-    cap = _axis_cap_breakpoints(spec.r)
-    t_star = _crossing(spec, lam1)
-    if t_star is None:
-        return cap
-    eps = scale / _kernel_slope(spec.r, spec.n, t_star)
-    if eps >= 0.05:
-        return cap
-    return tuple(sorted({*_graded_partition(t_star, max(8.0 * eps, 1e-12)), *cap}))
+    r, n = spec.r, spec.n
+    cap = _axis_cap_breakpoints(r)
+    t_star = _crossing(spec, x)
+    if t_star is None or s >= 0.05 * _kernel_slope(r, n, t_star):
+        return cap, None
+    h = 0.5 * (1.0 - abs(t_star))
+    far = [max(3.0 * h, 1e-15) * 4.0**k for k in range(1, 30)]  # from the far edge on
+    grade = [math.copysign(1.0 - d, t_star) for d in far if d < 0.4]
+    if h < 5e-15:  # t* within rounding of the pole: no panel fits between them
+        return tuple(sorted({*cap, *grade})), None
+    lo, hi = t_star - h, t_star + h
+    scale, base_x, tau, dtau = s / x, x ** (-2.0 / n), [], []
+    for end in (lo, hi):
+        top = math.asinh(abs(math.log(kernel_profile(r, n, end) / x)) / scale)
+        u, wu = _unit_pieces(math.ceil(top / 3.0))
+        tau.append(top * u)
+        dtau.append(top * wu)
+    tau = np.concatenate((-tau[0][::-1], tau[1]))
+    v, dv = scale * np.sinh(tau), scale * np.cosh(tau) * np.concatenate((dtau[0][::-1], dtau[1]))
+    base = base_x * np.exp((-2.0 / n) * v)
+    dn, ds = (base - (1.0 - r) ** 2) / (2.0 * r), ((1.0 + r) ** 2 - base) / (2.0 * r)  # 1 -+ t
+    w = dv * base * (dn * ds) ** (0.5 * (n - 3)) * (_zonal_constant(n) / (n * r))
+    layer = Layer(x, lo, hi, 1.0 - dn, w, x * np.expm1(v))
+    return tuple(sorted({*(c for c in cap if not lo <= c <= hi), *grade, lo, hi})), layer
 
 
-def _field(spec: ProblemSpec, x: float, s: float, t):
+@lru_cache(maxsize=None)
+def _unit_pieces(pieces: int):
+    """16-point Gauss-Legendre rule on [0, 1] cut into ``pieces`` equal pieces."""
+    gx, gw = _base_jacobi(16, 0.0, 0.0)
+    u = ((2.0 * np.arange(pieces) + 1.0)[:, None] + gx).ravel() / (2.0 * pieces)
+    return u, np.tile(gw, pieces) / (2.0 * pieces)
+
+
+def _field(spec: ProblemSpec, x: float, s: float, t, layer: Layer | None = None):
     """d = g(t) - x and R = hypot(d, s): the datum is the unit vector of a
     field whose first component is d and whose other components have
-    norm s."""
+    norm s.  t may end with the nodes of ``layer``, whose d is exact."""
     d = kernel_profile(spec.r, spec.n, t) - x
+    if layer is not None:
+        d[d.size - layer.offsets.size :] = layer.offsets + (layer.level - x)
     return d, np.hypot(d, s)
 
 
-def _unit_field(spec: ProblemSpec, lam, mu: float, t: np.ndarray):
+def _unit_field(spec: ProblemSpec, lam, mu: float, t: np.ndarray, layer=None):
     """The datum, unit vector of (g(t) l - lam, mu), in the scale
     s = |(lam_2..lam_m, mu)|: with d = g(t) - lam_1 and R = hypot(d, s)
     returns u = d / R, sigma = s / R, 1 / R, (lam_2..lam_m) / s and mu / s.
@@ -249,7 +272,7 @@ def _unit_field(spec: ProblemSpec, lam, mu: float, t: np.ndarray):
     gives the sign datum."""
     lam = np.asarray(lam, dtype=float)
     s = math.hypot(mu, *lam[1:])
-    d, big_r = _field(spec, lam[0], s, t)
+    d, big_r = _field(spec, lam[0], s, t, layer)
     inv = 1.0 / big_r
     tail, zeta = (lam[1:] / s, mu / s) if s > 0.0 else (lam[1:], 0.0)
     return d * inv, s * inv, inv, tail, zeta
@@ -262,9 +285,9 @@ def _layer_integrals(w: np.ndarray, u, sigma, inv):
     return float(wi @ (sigma * sigma)), float(wi @ (u * sigma)), float(wi @ (u * u))
 
 
-def _moments(spec: ProblemSpec, lam, mu: float, t: np.ndarray, w: np.ndarray):
+def _moments(spec: ProblemSpec, lam, mu: float, t: np.ndarray, w: np.ndarray, layer=None):
     # R_j = -lam_j int 1 / R factors out of one integral with I = mu int 1 / R
-    u, sigma, _, tail, zeta = _unit_field(spec, lam, mu, t)
+    u, sigma, _, tail, zeta = _unit_field(spec, lam, mu, t, layer)
     value_j = float(w @ sigma)
     return np.concatenate(([float(w @ u)], -tail * value_j)), zeta * value_j
 
@@ -291,26 +314,28 @@ def datum(spec: ProblemSpec, sol: LagrangeSolution, t) -> np.ndarray:
     return out
 
 
-def moments_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule):
+def moments_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=None):
     """Constraint moments (R, I) of the b > 0 field at (lam, mu).
 
     The tail components use the constant-field factorization
     R_j = (-lam_j / mu) * I, which is exact, so only two latitude
-    integrals are evaluated, both formed without dividing by mu.
+    integrals are evaluated, both formed without dividing by mu.  A rule
+    from ``segmented_nodes(..., layer)`` comes with its ``layer``.
     """
     if not mu > 0.0:
         raise ValueError(f"need mu > 0, got mu={mu}")
-    return _moments(spec, lam, mu, rule.nodes, rule.weights)
+    return _moments(spec, lam, mu, rule.nodes, rule.weights, layer)
 
 
-def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule) -> np.ndarray:
+def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=None) -> np.ndarray:
     """Jacobian of (R, I) with respect to (lam, mu), shape (m+1, m+1).
 
     With R = hypot(g - lam_1, s), l_j = lam_j / s and z = mu / s as in
     ``_unit_field`` (|l|^2 + z^2 = 1), the entries reduce to the three
     scalar integrals of ``_layer_integrals``, P0 = int s^2 / R^3,
     P1 = int s (g - lam_1) / R^3 and P2 = int (g - lam_1)^2 / R^3, each
-    formed without dividing by mu:
+    formed without dividing by mu, and on a layered rule from the exact
+    g - lam_1 of its ``layer`` (rounded latitudes blur it once s < 1e-10):
 
         dR_1/dlam_1 = -P0,   dR_1/dlam_j = dR_j/dlam_1 = -l_j P1,
         dR_j/dlam_i = l_i l_j P0 - [i = j] (P0 + P2)      (i, j >= 2),
@@ -320,7 +345,7 @@ def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule) -> np.n
     if not mu > 0.0:
         raise ValueError(f"need mu > 0, got mu={mu}")
     m = spec.m
-    u, sigma, inv, tail, zeta = _unit_field(spec, lam, mu, rule.nodes)
+    u, sigma, inv, tail, zeta = _unit_field(spec, lam, mu, rule.nodes, layer)
     p0, p1, p2 = _layer_integrals(rule.weights, u, sigma, inv)
     jac = np.empty((m + 1, m + 1))
     jac[0, 0] = -p0
@@ -334,23 +359,21 @@ def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule) -> np.n
     return jac
 
 
-def moments_Rcal(
-    spec: ProblemSpec, lam, rule: QuadratureRule, breakpoints=None
-) -> np.ndarray:
+def moments_Rcal(spec: ProblemSpec, lam, rule: QuadratureRule, breakpoints=None, layer=None):
     """Constraint moments Rcal of the b = 0 field at lam.
 
     The datum, the unit vector of g(t) l - lam, is the mu = 0 end of the
     b > 0 one.  With a vanishing tail it is a latitude sign function
     jumping where g(t) crosses lam_1; otherwise it bends there, the
     sharper the smaller the tail.  Either way the rule is segmented at
-    that crossing, unless ``breakpoints`` supplies a graded partition for
-    a thin kink layer.
+    that crossing, unless a solution's ``breakpoints`` and ``layer``
+    supply the panel of a thin kink layer.
     """
     lam = np.asarray(lam, dtype=float)
-    if breakpoints is None or len(breakpoints) == 0:
+    if layer is None and not breakpoints:
         t_star = _crossing(spec, float(lam[0]))
         breakpoints = None if t_star is None else [t_star]
-    return _moments(spec, lam, 0.0, *segmented_nodes(rule, breakpoints))[0]
+    return _moments(spec, lam, 0.0, *segmented_nodes(rule, breakpoints, layer), layer)[0]
 
 
 # --------------------------------------------------------------------------
@@ -427,20 +450,20 @@ def _face_crossing(n: int, c1: float):
 
 
 def _dual_terms(spec: ProblemSpec, rule: QuadratureRule, c1, rho, f, x, y):
-    """q, gradient, Hessian and int dsigma/R of the reduced dual at (x, y).
+    """q, gradient, Hessian, int dsigma/R and (breakpoints, layer) at (x, y).
 
-    The rule is the given one segmented by ``_layer_breakpoints`` at the
+    The rule is the given one segmented by ``_layer_rule`` at the
     crossing g(t) = x and the kernel's pole, rebuilt for every iterate;
-    its breakpoints come last.  Everything is formed from R and the datum's unit vector
+    on the layer d = g(t) - x is exact.  Everything is formed from R and the datum's unit vector
     (d, y, f) / R, so neither cancellation across the crossing nor
     under- or overflow at tiny y enters.  With s = |(y, f)| the Hessian
     is [[P0, (y/s) P1], [(y/s) P1, P2 + (f/s)^2 P0]] in the integrals of
     ``_layer_integrals``.
     """
     s = math.hypot(y, f)
-    breaks = _layer_breakpoints(spec, x, s)
-    t, w = segmented_nodes(rule, breaks)
-    d, big_r = _field(spec, x, s, t)
+    breaks, layer = _layer_rule(spec, x, s)
+    t, w = segmented_nodes(rule, breaks, layer)
+    d, big_r = _field(spec, x, s, t, layer)
     inv = 1.0 / big_r
     u = d * inv
     excess = big_r - d
@@ -452,7 +475,7 @@ def _dual_terms(spec: ProblemSpec, rule: QuadratureRule, c1, rho, f, x, y):
     hess = np.array([[p0, cos * p1], [cos * p1, p2 + sin * sin * p0]])
     grad = np.array([c1 - float(w @ u), y * s0 - rho])
     q = x * (c1 - 1.0) - y * rho + float(w @ excess)
-    return q, grad, hess, s0, breaks
+    return q, grad, hess, s0, (breaks, layer)
 
 
 def _minimize_dual(spec, rule, perp, f, tol, x, y=None):
@@ -541,9 +564,9 @@ def solve_positive_b(
     by damped Newton, started at the rho = 0 optimum x = g(t*),
     y = rho x unless ``x0`` = (lam_1, mu) overrides it, and rotates the
     minimizer back: mu = y (b / rho), lam_j = -mu a_j / b.  The residual is
-    that of the full (m+1)-dimensional moment system, on the rule
-    segmented at the datum's turnover layer (``breakpoints``), which
-    small b makes arbitrarily thin.  Centers with rho = |(a_2..a_m, b)|
+    that of the full (m+1)-dimensional moment system, on the rule with
+    the datum's turnover layer on its own panel (``layer``), which small
+    b makes arbitrarily thin.  Centers with rho = |(a_2..a_m, b)|
     below 1e-300 are solved on the rho = 0 face, with y = rho and the
     single breakpoint t*.
     """
@@ -556,7 +579,7 @@ def solve_positive_b(
     rho = math.hypot(*perp)
     if rho < _FACE_RHO:  # y = rho, so mu = b; the datum jumps at t*
         lam, t_star, residual, evaluations = _solve_face(spec, rule, tol)
-        x, mu, breaks = lam[0], spec.b, (t_star,)
+        x, mu, (breaks, layer) = lam[0], spec.b, ((t_star,), None)
     else:
         if x0 is None:
             x, y = _face_level(spec), None
@@ -566,7 +589,7 @@ def solve_positive_b(
                 raise ValueError(f"initial mu must be positive, got {mu}")
             y = mu * (rho / spec.b)
         x, y, terms, residual, evaluations = _minimize_dual(spec, rule, perp, 0.0, tol, x, y)
-        mu, breaks = y * (spec.b / rho), terms[4]
+        mu, (breaks, layer) = y * (spec.b / rho), terms[4]
     return LagrangeSolution(
         branch="positive_b",
         lam=np.concatenate(([x], (-spec.a[1:] / spec.b) * mu)),
@@ -574,6 +597,7 @@ def solve_positive_b(
         residual=residual,
         iterations=evaluations,
         breakpoints=breaks,
+        layer=layer,
         warnings=tuple(_conditioning_warnings(spec)),
     )
 
@@ -591,7 +615,7 @@ def solve_zero_b(
     the dual's rho = 0 face.  Otherwise
     the reduced dual is minimized as on the positive branch and
     lam_j = -y a_j / rho; a small tail bends the datum over a thin kink
-    layer, resolved by the graded ``breakpoints``.
+    layer, resolved on the solution's ``layer`` panel.
     """
     if spec.b != 0.0:
         raise ValueError(f"zero branch requires b = 0, got b={spec.b}")
@@ -604,7 +628,7 @@ def solve_zero_b(
             "|a| is within 1e-06 of the sphere; multipliers are boundary-adjacent"
         )
     rho = math.hypot(*spec.a[1:])
-    t_star, breaks = None, ()
+    t_star, (breaks, layer) = None, ((), None)
     if rho < _FACE_RHO:
         lam, t_star, residual, evaluations = _solve_face(spec, rule, tol)
     else:
@@ -616,7 +640,7 @@ def solve_zero_b(
         x, y, terms, residual, evaluations = _minimize_dual(
             spec, rule, spec.a[1:], 0.0, tol, _face_level(spec)
         )
-        lam, breaks = np.concatenate(([x], -y * (spec.a[1:] / rho))), terms[4]
+        lam, (breaks, layer) = np.concatenate(([x], -y * (spec.a[1:] / rho))), terms[4]
     return LagrangeSolution(
         branch="zero_b",
         lam=lam,
@@ -625,6 +649,7 @@ def solve_zero_b(
         iterations=evaluations,
         jump_point=t_star,
         breakpoints=breaks,
+        layer=layer,
         warnings=tuple(warnings),
     )
 

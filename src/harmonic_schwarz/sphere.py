@@ -26,7 +26,7 @@ integrand that occurs:
   substitution t2 = sqrt(1 - t1^2) * w factorizes it into the zonal
   weights of dimensions n and n-1.  A tensor product of two 1-D rules
   therefore applies for n >= 3; on the circle (n = 2) the pair lives on
-  t1^2 + t2^2 = 1 and a plain angular rule is used instead.
+  t1^2 + t2^2 = 1: an angular rule, or t1 nodes with t2 = +-sqrt(1 - t1^2).
 
 Gauss rules lose all accuracy across a jump, so profiles with known
 discontinuities must be integrated piecewise: callers pass the jump
@@ -36,15 +36,16 @@ endpoint factor inside a one-sided Jacobi weight; interior sub-intervals
 fold the full weight into the integrand and use Gauss-Legendre.  Pieces
 narrower than 0.05 get a fixed low order (hp grading; Schwab, p- and
 hp-FEM, 1998); four or more interior pieces are mapped in one broadcast.
+The solver splices in its own rule for a datum's turnover layer.
 
 Every Gauss rule without a closed form, for (1-x)^alpha (1+x)^beta with
-alpha, beta in {-1/2, 0, 1/2, ..., 13/2} and Legendre included, comes from one
+half-integer alpha, beta >= -1/2 and Legendre included, comes from one
 numpy routine: Newton's method on the orthonormal three-term recurrence,
-run at all nodes at once and started from Chebyshev-angle guesses with
-Gatteschi's correction, then Christoffel weights mass / sum_k p_k(x)^2,
-with the mass 2^{alpha+beta+1} B(alpha+1, beta+1) from ``math.lgamma``.
-It converges in a handful of sweeps at every order up to 2048, costs
-O(order^2) per sweep, and needs no dense eigensolver.
+run at all nodes at once from Chebyshev-angle guesses with Gatteschi's
+correction or, for alpha >= 12, the Jacobi matrix's eigenvalues, then
+Christoffel weights mass / sum_k p_k(x)^2, with the mass
+2^{alpha+beta+1} B(alpha+1, beta+1) from ``math.lgamma``.  Each of its
+few sweeps costs O(order^2).
 """
 
 from __future__ import annotations
@@ -107,8 +108,9 @@ def _gauss_jacobi(order: int, alpha: float, beta: float):
     The nodes start at Chebyshev-like angles with Gatteschi's correction,
     theta_k = phi_k + ((1/4 - alpha^2) cot(phi_k/2) - (1/4 - beta^2) tan(phi_k/2))
     / (4 rho^2), phi_k = (k + alpha/2 - 1/4) pi / rho, rho = order + (alpha +
-    beta + 1)/2.  Each sweep runs the orthonormal three-term recurrence at
-    all nodes at once for p_N and p_{N-1} (N = order), and the Jacobi
+    beta + 1)/2, or, once that start fails to separate (alpha >= 12), at the
+    Jacobi matrix's eigenvalues (Golub and Welsch, 1969).  Each sweep runs
+    the recurrence at all nodes at once for p_N and p_{N-1} (N = order), and the Jacobi
     identity (1 - x^2) p_N' = (u - N x) p_N + v p_{N-1} gives the Newton
     step.  The weights are mass / K with the Christoffel sum
     K = sum_{k < N} p_k^2 (the p_k scaled so that p_0 = 1), taken at the
@@ -133,33 +135,33 @@ def _gauss_jacobi(order: int, alpha: float, beta: float):
     theta = phi + (
         (0.25 - alpha * alpha) / np.tan(half) - (0.25 - beta * beta) * np.tan(half)
     ) / (4.0 * rho * rho)
-    x = np.cos(theta)
     u = order * (alpha - beta) / (2.0 * order + ab)
     v = (2.0 * order + ab + 1.0) * s[order]
-    converged = False
-    for _ in range(50):  # 1-6 Newton sweeps suffice for every weight and order in use
-        p_prev, p = np.zeros_like(x), np.ones_like(x)
-        k_sum = np.zeros_like(x)
-        for k in range(order):
-            if converged:  # the weights need K only at the converged nodes
-                k_sum += p * p
-            p_prev, p = p, ((x - a[k]) * p - s[k] * p_prev) / s[k + 1]
-        sigma = 1.0 - x * x
-        dx = p * sigma / ((u - order * x) * p + v * p_prev)
-        if converged:
-            break
-        x = x - dx
-        converged = float(np.abs(dx).max()) < 1e-13
-    else:
-        raise QuadratureError(
-            f"Gauss-Jacobi nodes (order {order}, alpha {alpha}, beta {beta}) did not converge"
-        )
-    if not (np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0):
-        raise QuadratureError(
-            f"Gauss-Jacobi nodes (order {order}, alpha {alpha}, beta {beta}) are not separated"
-        )
-    k_slope = ((ab + 2.0) * x + alpha - beta) / sigma
-    return x, math.exp(log_mass) / (k_sum * (1.0 - k_slope * dx))
+    for x in (np.cos(theta), None):
+        if x is None:  # Golub-Welsch: the eigenvalues of the Jacobi matrix
+            x = np.linalg.eigvalsh(np.diag(a) + np.diag(s[1:order], -1))
+        converged = False
+        for _ in range(50):  # a good start converges in 2-24 sweeps
+            p_prev, p = np.zeros_like(x), np.ones_like(x)
+            k_sum = np.zeros_like(x)
+            for k in range(order):
+                if converged:  # the weights need K only at the converged nodes
+                    k_sum += p * p
+                p_prev, p = p, ((x - a[k]) * p - s[k] * p_prev) / s[k + 1]
+            sigma = 1.0 - x * x
+            dx = p * sigma / ((u - order * x) * p + v * p_prev)
+            if converged:
+                break
+            x = x - dx
+            converged = float(np.abs(dx).max()) < 1e-13
+        else:
+            continue
+        if np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0:
+            k_slope = ((ab + 2.0) * x + alpha - beta) / sigma
+            return x, math.exp(log_mass) / (k_sum * (1.0 - k_slope * dx))
+    raise QuadratureError(
+        f"Gauss-Jacobi nodes (order {order}, alpha {alpha}, beta {beta}) did not separate"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -301,9 +303,9 @@ class BiaxialRule:
 
     Node pairs satisfy t1^2 + t2^2 <= 1 (with equality exactly when
     n = 2, where the pair lives on the circle) and the weights sum to
-    one.  For n >= 3 the rule is a tensor product: ``inner_nodes`` and
-    ``inner_weights`` hold the w-rule used in t2 = sqrt(1-t1^2) * w, and
-    they are reused when a t1-piecewise version of the rule is needed.
+    one.  For n >= 3 the rule is a tensor product: ``inner`` is the
+    w-rule used in t2 = sqrt(1-t1^2) * w, and it is reused when a
+    t1-piecewise version of the rule is needed.
     """
 
     n: int
@@ -311,8 +313,7 @@ class BiaxialRule:
     t2: np.ndarray
     weights: np.ndarray
     outer_order: int
-    inner_nodes: np.ndarray | None = None
-    inner_weights: np.ndarray | None = None
+    inner: QuadratureRule | None = None
 
     @property
     def size(self) -> int:
@@ -327,28 +328,23 @@ def biaxial_rule(n: int, order: int = 256, inner_order: int | None = None) -> Bi
     if n == 2:
         count = 4 * order  # angular nodes are cheap; match tensor accuracy
         phi = 2.0 * np.pi * np.arange(count) / count
-        w = np.full(count, 1.0 / count)
-        return BiaxialRule(
-            n=2,
-            t1=_freeze(np.cos(phi)),
-            t2=_freeze(np.sin(phi)),
-            weights=_freeze(w),
-            outer_order=order,
-        )
-    outer = zonal_rule(n, order)
-    inner = zonal_rule(n - 1, inner_order if inner_order is not None else order)
-    t1 = np.repeat(outer.nodes, inner.order)
-    t2 = np.sqrt(np.clip(1.0 - t1 * t1, 0.0, None)) * np.tile(inner.nodes, outer.order)
-    w = np.outer(outer.weights, inner.weights).ravel()
-    return BiaxialRule(
-        n=n,
-        t1=_freeze(t1),
-        t2=_freeze(t2),
-        weights=_freeze(w),
-        outer_order=order,
-        inner_nodes=inner.nodes,
-        inner_weights=inner.weights,
-    )
+        pairs, inner = (np.cos(phi), np.sin(phi), np.full(count, 1.0 / count)), None
+    else:
+        outer = zonal_rule(n, order)
+        inner = zonal_rule(n - 1, inner_order if inner_order is not None else order)
+        pairs = _pairs(outer.nodes, outer.weights, inner)
+    return BiaxialRule(n, *map(_freeze, pairs), outer_order=order, inner=inner)
+
+
+def _pairs(t: np.ndarray, w: np.ndarray, inner: QuadratureRule | None):
+    """(t1, t2, weights) over the t1 rule (t, w): ``inner`` in t2 = sqrt(1 - t1^2) s,
+    or on the circle (no inner rule) t2 = +-sqrt(1 - t1^2) at half weight."""
+    if inner is None:
+        t2 = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+        return np.concatenate((t, t)), np.concatenate((t2, -t2)), 0.5 * np.concatenate((w, w))
+    t1 = np.repeat(t, inner.order)
+    t2 = np.sqrt(np.clip(1.0 - t1 * t1, 0.0, None)) * np.tile(inner.nodes, t.size)
+    return t1, t2, np.outer(w, inner.weights).ravel()
 
 
 def _pair_values(profile, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -375,24 +371,31 @@ def biaxial_integrate(rule: BiaxialRule, profile, t1_breakpoints=None) -> float:
     return float(w @ _pair_values(profile, t1, t2))
 
 
-def segmented_nodes(rule: QuadratureRule, breakpoints=None):
+def segmented_nodes(rule: QuadratureRule, breakpoints=None, panel=None):
     """Flattened (nodes, weights) of the rule, remapped piecewise if needed.
 
     With breakpoints the returned weights carry the latitude density of
     each sub-interval, so ``w @ f(t)`` equals the piecewise integral
-    computed by :func:`zonal_integrate`.  The panels are hp-graded: the
-    geometric partitions of this package keep every feature a fixed number
-    of panel widths away, so narrow panels take a fixed low order.
+    computed by :func:`zonal_integrate`; panels narrower than 0.05 take
+    a fixed low order (hp grading).  ``panel`` (``lo``, ``hi``, ``nodes``,
+    ``weights``: the solver's ``Layer``) is the caller's rule for [lo, hi],
+    which replaces the breakpoints within it and comes last.
     """
-    if breakpoints is None or len(np.atleast_1d(breakpoints)) == 0:
+    if panel is None and (breakpoints is None or len(np.atleast_1d(breakpoints)) == 0):
         return rule.nodes, rule.weights
     n, low = rule.n, _narrow_order(rule.order)
-    edges = [-1.0, *_clean_breakpoints(breakpoints), 1.0]
+    edges = [-1.0, *_clean_breakpoints(() if breakpoints is None else breakpoints), 1.0]
+    if panel is not None:
+        edges = [e for e in edges if not panel.lo - 1e-14 <= e <= panel.hi + 1e-14]
+        edges = sorted([*edges, panel.lo, panel.hi])
     orders = [low if _is_narrow(lo, hi) else rule.order for lo, hi in zip(edges, edges[1:])]
+    gap = len(edges) - 2 if panel is None else edges.index(panel.lo)  # the panel's interval
     parts = [_segment_rule(n, orders[0], -1.0, edges[1])]
-    if len(orders) > 2:
-        parts += _interior_panels(n, edges[1:-1], orders[1:-1])
+    parts += _interior_panels(n, edges[1 : gap + 1], orders[1:gap])
+    parts += _interior_panels(n, edges[gap + 1 : -1], orders[gap + 1 : -1])
     parts.append(_segment_rule(n, orders[-1], edges[-2], 1.0))
+    if panel is not None:
+        parts.append((panel.nodes, panel.weights))
     return np.concatenate([t for t, _ in parts]), np.concatenate([w for _, w in parts])
 
 
@@ -409,43 +412,12 @@ def _interior_panels(n: int, edges: list, orders: list) -> list:
     return [(t, _zonal_constant(n) * half * wx * (1.0 - t * t) ** _weight_exponent(n))]
 
 
-def segmented_pairs(rule: BiaxialRule, t1_breakpoints=None):
-    """Flattened (t1, t2, weights) of a biaxial rule, piecewise in t1."""
-    if t1_breakpoints is None or len(np.atleast_1d(t1_breakpoints)) == 0:
+def segmented_pairs(rule: BiaxialRule, t1_breakpoints=None, panel=None):
+    """(t1, t2, weights) of a biaxial rule on ``segmented_nodes`` in t1 (see ``_pairs``)."""
+    if panel is None and (t1_breakpoints is None or len(np.atleast_1d(t1_breakpoints)) == 0):
         return rule.t1, rule.t2, rule.weights
-    pts = _clean_breakpoints(t1_breakpoints)
-    if rule.n == 2:
-        cuts = sorted({np.arccos(t) for t in pts} | {2.0 * np.pi - np.arccos(t) for t in pts})
-        edges = [0.0, *cuts, 2.0 * np.pi]
-        x, wx = _base_jacobi(max(rule.outer_order, 64), 0.0, 0.0)
-        t1_parts, t2_parts, w_parts = [], [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi - lo < 1e-15:
-                continue
-            phi = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-            t1_parts.append(np.cos(phi))
-            t2_parts.append(np.sin(phi))
-            w_parts.append(0.5 * (hi - lo) / (2.0 * np.pi) * wx)
-        return (
-            np.concatenate(t1_parts),
-            np.concatenate(t2_parts),
-            np.concatenate(w_parts),
-        )
-    edges = [-1.0, *pts, 1.0]
-    t1_parts, t2_parts, w_parts = [], [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        t, w = _segment_rule(rule.n, rule.outer_order, lo, hi)
-        t1 = np.repeat(t, rule.inner_nodes.size)
-        t1_parts.append(t1)
-        t2_parts.append(
-            np.sqrt(np.clip(1.0 - t1 * t1, 0.0, None)) * np.tile(rule.inner_nodes, t.size)
-        )
-        w_parts.append(np.outer(w, rule.inner_weights).ravel())
-    return (
-        np.concatenate(t1_parts),
-        np.concatenate(t2_parts),
-        np.concatenate(w_parts),
-    )
+    t, w = segmented_nodes(zonal_rule(rule.n, rule.outer_order), t1_breakpoints, panel)
+    return _pairs(t, w, rule.inner)
 
 
 def poisson_kernel(x, omega, n: int) -> float | np.ndarray:

@@ -1,12 +1,13 @@
 """Directional growth bounds, the classical centered bound, envelopes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonic_schwarz import ProblemSpec
+from harmonic_schwarz import ProblemSpec, eval_on_axis
 from harmonic_schwarz.bounds import (
     axis_bound,
     classical_bound,
@@ -34,6 +35,19 @@ def test_axis_bound_carries_its_witness():
     assert result.witness.branch == "positive_b"
     assert max(result.residuals) < 1e-10
     assert 0.3 < result.value < 1.0  # strictly above the center, inside the ball
+
+
+def test_bounds_carry_the_quadrature_error_estimate_of_their_axis_value():
+    spec = ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.25, -0.1]), b=0.35)
+    result = axis_bound(spec)
+    edge = eval_on_axis(result.witness, spec.r)
+    assert result.quadrature_error_estimate == edge.quadrature_error_estimate
+    assert 0.0 <= result.quadrature_error_estimate < 1e-12
+    e = np.array([0.6, -0.48, 0.64])
+    rotated = directional_bound(spec, e)
+    edge = eval_on_axis(rotated.witness, spec.r)
+    assert rotated.value == float(edge.value[0])
+    assert rotated.quadrature_error_estimate == edge.quadrature_error_estimate
 
 
 def test_directional_bound_along_first_axis_is_the_axis_bound():
@@ -89,6 +103,19 @@ def test_classical_bound_limits_and_monotonicity():
     for n in (2, 3, 5):
         values = [classical_bound(n, r) for r in radii]
         assert np.all(np.diff(values) > 0)
+
+
+@pytest.mark.parametrize("n", [27, 40, 64])
+@pytest.mark.parametrize("r", [0.5, 0.9])
+def test_classical_bound_in_high_dimension_matches_direct_quadrature(n, r):
+    # the Gauss-Jacobi rules of n >= 27 start Newton from the Jacobi
+    # matrix's eigenvalues; from Gatteschi's start they failed to separate
+    from scipy.integrate import quad
+
+    c_n = math.exp(math.lgamma(0.5 * n) - math.lgamma(0.5 * (n - 1))) / math.sqrt(math.pi)
+    lower = lambda t: (1 + r * r - 2 * r * t) ** (-0.5 * n) * c_n * (1 - t * t) ** (0.5 * (n - 3))
+    mass = quad(lower, -1.0, 0.0, epsabs=1e-16, epsrel=1e-14, limit=200)[0]
+    assert classical_bound(n, r) == pytest.approx(1.0 - 2.0 * (1.0 - r * r) * mass, abs=1e-12)
 
 
 def test_classical_bound_validation():

@@ -219,6 +219,12 @@ def test_classical_reports_both_formats(capsys):
     assert row.startswith("3,")
 
 
+def test_classical_runs_past_dimension_26(capsys):
+    code, out, _ = run(["classical", "--n", "27", "--r", "0.9"], capsys)
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(classical_bound(27, 0.9), abs=1e-15)
+
+
 def test_verify_passes_and_is_reproducible(capsys):
     code, first, _ = run(["verify", "--suite", "heinz"], capsys)
     assert code == 0

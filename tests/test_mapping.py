@@ -216,14 +216,29 @@ def test_branch_continuity_small_b_to_zero(n, a):
 
 
 def test_small_b_extension_carries_the_layer_partition():
-    # without the graded breakpoints the center identity drifts by the
-    # plain rule's staircase quantization, around 1e-3 at this order
+    # without the layer panel the center identity drifts by the plain
+    # rule's staircase quantization, around 1e-3 at this order
     bm = boundary_map(ProblemSpec(n=3, m=1, r=0.5, a=np.array([0.25]), b=1e-6))
-    assert bm.breakpoints
-    assert bm.breakpoints == bm.solution.breakpoints
+    assert bm.layer is not None and bm.layer is bm.solution.layer
+    assert bm.breakpoints == bm.solution.breakpoints == (bm.layer.lo, bm.layer.hi)
     np.testing.assert_allclose(eval_on_axis(bm, 0.0).value, [0.25, 1e-6], atol=1e-8)
     ev = eval_on_axis(bm, 0.5)
     assert ev.quadrature_error_estimate < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("b", [1e-6, 1e-9])
+def test_batch_evaluation_of_thin_layer_maps_matches_the_axis(n, b):
+    # eval_batch takes the layer panel through segmented_pairs; without it
+    # the b = 1e-6 map was 1e-3 off
+    bm = boundary_map(ProblemSpec(n=n, m=2, r=0.5, a=np.array([0.3, 0.0]), b=b))
+    assert bm.layer is not None
+    rhos = (0.3, 0.6, 0.9)
+    points = np.zeros((3, n))
+    points[:, -1] = rhos
+    batch = eval_batch(bm, points)
+    for rho, got in zip(rhos, batch):
+        np.testing.assert_allclose(got, eval_on_axis(bm, rho).value, rtol=0, atol=1e-12)
 
 
 def test_error_estimate_reported_for_smooth_data():

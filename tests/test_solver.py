@@ -24,7 +24,7 @@ from harmonic_schwarz import (
     zonal_rule,
 )
 from harmonic_schwarz.bounds import axis_bound, directional_bound
-from harmonic_schwarz.sphere import segmented_nodes
+from harmonic_schwarz.sphere import _zonal_constant, segmented_nodes
 
 
 def jump_latitude_oracle(n: int, a1: float) -> float:
@@ -89,12 +89,43 @@ def test_moments_at_a_tiny_mu_stay_finite_and_correct(b):
     # mu ~ 5e-161 and below: A = (g l - lam) / mu would overflow when squared
     spec = ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.3, 0.0]), b=b)
     sol = solve_positive_b(spec)
-    t, w = segmented_nodes(zonal_rule(3), sol.breakpoints)
+    t, w = segmented_nodes(zonal_rule(3), sol.breakpoints, sol.layer)
     rule = QuadratureRule(n=3, nodes=t, weights=w)
-    moved, mass = moments_RI(spec, sol.lam, sol.mu, rule)
+    moved, mass = moments_RI(spec, sol.lam, sol.mu, rule, sol.layer)
     np.testing.assert_allclose(moved, spec.a, atol=1e-10)
     assert 0.0 < mass < 1e-10
-    assert np.all(np.isfinite(jacobian_RI(spec, sol.lam, sol.mu, rule)))
+    assert np.all(np.isfinite(jacobian_RI(spec, sol.lam, sol.mu, rule, sol.layer)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("b", [1e-10, 1e-14, 1e-160])
+def test_jacobian_at_a_tiny_multiplier_scale_meets_its_limit(n, b):
+    # P0 = int s^2 / R^3 tends to 2 c_n (1 - t*^2)^((n-3)/2) / g'(t*) as
+    # s -> 0; on rounded latitudes it missed by 2e-6 at b = 1e-10 and by
+    # 100% at 1e-160
+    spec = ProblemSpec(n=n, m=2, r=0.5, a=np.array([0.3, 0.0]), b=b)
+    sol = solve_positive_b(spec)
+    assert sol.layer is not None and sol.layer.level == sol.lam[0]
+    t, w = segmented_nodes(zonal_rule(n), sol.breakpoints, sol.layer)
+    jac = jacobian_RI(spec, sol.lam, sol.mu, QuadratureRule(n=n, nodes=t, weights=w), sol.layer)
+    t_star = kernel_inverse(0.5, n, sol.lam[0])
+    density = 2.0 * _zonal_constant(n) * (1.0 - t_star * t_star) ** (0.5 * (n - 3))
+    slope = n * 0.5 * (1.25 - t_star) ** (-0.5 * n - 1.0)
+    assert -jac[0, 0] == pytest.approx(density / slope, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("r", [0.5, 0.99])
+@pytest.mark.parametrize("a", [(-0.6,), (0.3,), (0.3, 0.0)])
+def test_tiny_b_bounds_solve_and_meet_the_face_bound(n, r, a):
+    # the layer's node count must grow as log(1 / b): at b = 1e-160 the
+    # sinh map reaches tau ~ 370, past any fixed number of nodes
+    spec = ProblemSpec(n=n, m=len(a), r=r, a=np.array(a), b=0.0)
+    face = axis_bound(spec).value
+    for b in (1e-30, 1e-80, 1e-160, 1e-250):
+        result = axis_bound(ProblemSpec(n=n, m=len(a), r=r, a=np.array(a), b=b))
+        assert result.witness.solution.layer is not None
+        assert result.value == pytest.approx(face, abs=1e-13)
 
 
 def test_jacobian_diagonal_signs():
@@ -246,7 +277,7 @@ def test_solve_zero_b_tiny_tail_falls_through_to_the_graded_stages():
     spec = ProblemSpec(n=2, m=2, r=0.3306646056060621, a=np.array([0.510286145368913, -1e-05]), b=0.0)
     sol = solve_zero_b(spec)
     assert sol.residual < 1e-8
-    assert sol.breakpoints
+    assert sol.layer is not None and sol.breakpoints == (sol.layer.lo, sol.layer.hi)
     assert axis_bound(spec).value == pytest.approx(0.7442543621060742, abs=1e-10)
 
 
@@ -268,7 +299,8 @@ def test_positive_b_conditioning_warnings():
     sol = solve_positive_b(sliver)
     assert sol.warnings
     assert sol.residual < 1e-10
-    assert sol.breakpoints  # turnover layer had to be segmented
+    # the turnover layer had to get its own panel
+    assert sol.layer is not None and sol.breakpoints == (sol.layer.lo, sol.layer.hi)
 
 
 def test_small_b_solves_resolve_the_layer():
@@ -441,6 +473,18 @@ def test_layer_partition_ending_next_to_a_pole_keeps_off_it():
     c1, rho = -0.5260410435335988, 2.9562979532567408e-09
     value = axis_bound(ProblemSpec(n=2, m=2, r=0.99, a=np.array([c1, 0.0]), b=rho)).value
     assert value == pytest.approx(reduced_dual_min(2, 0.99, c1, rho), abs=1e-10)
+
+
+@pytest.mark.parametrize("a1", [-0.99999, -0.999, 0.999, 0.99999])
+@pytest.mark.parametrize("b", [1e-5, 1e-9])
+def test_layer_next_to_a_pole_grades_its_far_side(a1, b):
+    # t* within 1e-3 of a pole: the layer panel ends half that distance
+    # from it, and an ungraded panel on the far side missed the singular
+    # weight of n = 2 there (SolverError, or bounds 6e-4 off)
+    spec = ProblemSpec(n=2, m=2, r=0.5, a=np.array([a1, 0.0]), b=b)
+    result = axis_bound(spec)
+    assert result.witness.layer is not None
+    assert result.value == pytest.approx(reduced_dual_min(2, 0.5, a1, b), abs=1e-10)
 
 
 def test_dual_near_r_1_sees_the_pole_of_the_kernel():

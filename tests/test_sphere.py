@@ -1,6 +1,7 @@
 """Quadrature layer: zonal and biaxial reductions, Poisson kernel."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -15,8 +16,15 @@ from harmonic_schwarz import (
     zonal_integrate,
     zonal_rule,
 )
-from harmonic_schwarz.solver import _graded_partition, kernel_profile
-from harmonic_schwarz.sphere import _base_jacobi, _gauss_jacobi, _segment_rule, segmented_nodes
+from harmonic_schwarz.solver import ProblemSpec, _axis_cap_breakpoints, _layer_rule, kernel_profile
+from harmonic_schwarz.sphere import (
+    _base_jacobi,
+    _gauss_jacobi,
+    _segment_rule,
+    _zonal_constant,
+    segmented_nodes,
+    segmented_pairs,
+)
 
 
 def symbolic_even_moment(n: int, k: int) -> float:
@@ -178,25 +186,102 @@ def test_narrow_panels_next_to_a_pole_keep_the_full_order(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 16])
-def test_graded_panels_take_a_fixed_low_order(n):
-    # the solver's layer partition: 41 breakpoints, innermost half-width 1e-12
+@pytest.mark.parametrize("s", [1e-6, 1e-9, 1e-14, 1e-160])
+def test_layer_panel_integrates_the_turnover_in_closed_form(n, s):
+    # the solver's turnover layer at t* = 0.3, r = 0.5, spliced into the rule
+    spec = ProblemSpec(n=n, m=1, r=0.5, a=np.array([0.0]), b=0.0)
+    x = kernel_profile(0.5, n, 0.3)
+    breaks, layer = _layer_rule(spec, x, s)
+    assert breaks == (layer.lo, layer.hi) == pytest.approx((-0.05, 0.65), abs=1e-15)
     rule = zonal_rule(n, 512)
-    breaks = _graded_partition(0.3, 1e-12)
-    t, w = segmented_nodes(rule, breaks)
-    assert t.size < 6000  # 21,504 with every panel at order 512
-    assert np.all(np.diff(t) > 0.0)
+    t, w = segmented_nodes(rule, breaks, layer)
+    k = layer.nodes.size
+    assert k <= (4000 if s == 1e-160 else 400)  # grows as log(1 / s)
+    assert np.array_equal(t[-k:], layer.nodes) and np.array_equal(w[-k:], layer.weights)
+    assert np.all((t[:-k] < layer.lo) | (t[:-k] > layer.hi)) and np.all(np.diff(t[:-k]) > 0.0)
+    assert np.all((layer.nodes > layer.lo) & (layer.nodes < layer.hi))
+    assert np.all(np.diff(layer.nodes) >= 0.0)
     assert w.sum() == pytest.approx(1.0, abs=1e-13)
-    # the half-order rule stays distinct on the narrow panels
-    assert segmented_nodes(zonal_rule(n, 256), breaks)[0].size < t.size
-    # a datum turning over on the scale 1e-9 integrates as on full-order panels
-    t_ref, w_ref = full_order_panels(rule, breaks)
+    # the half-order rule stays distinct on the two wide outer panels
+    assert segmented_nodes(zonal_rule(n, 256), breaks, layer)[0].size == t.size - 512
+    # in the level offset d = g - x the layer integrals have closed forms
+    d = layer.offsets
+    big_r = np.hypot(d, s)
+    np.testing.assert_allclose(d, kernel_profile(0.5, n, layer.nodes) - x, rtol=1e-14, atol=1e-12)
+    per_d = layer.weights * n * 0.5 * (1.25 - layer.nodes) ** (-0.5 * n - 1.0)
+    per_d /= _zonal_constant(n) * (1.0 - layer.nodes**2) ** (0.5 * (n - 3))
+    ends = np.array([kernel_profile(0.5, n, layer.lo), kernel_profile(0.5, n, layer.hi)]) - x
+    assert per_d @ (s / big_r) == pytest.approx(s * np.diff(np.arcsinh(ends / s))[0], rel=1e-13)
+    assert per_d @ ((s / big_r) ** 2 / big_r) == pytest.approx(np.diff(ends / np.hypot(ends, s))[0], rel=1e-13)
+    # and on the whole rule int s^2 / R^3 tends to 2 c_n (1 - t*^2)^((n-3)/2) / g'(t*)
+    full_d = kernel_profile(0.5, n, t) - x
+    full_d[-k:] = d
+    big_r = np.hypot(full_d, s)
+    p0 = float(w @ ((s / big_r) ** 2 / big_r))
+    limit = 2.0 * _zonal_constant(n) * 0.91 ** (0.5 * (n - 3)) / (n * 0.5 * 0.95 ** (-0.5 * n - 1.0))
+    assert p0 == pytest.approx(limit, rel=1e-9 if s == 1e-6 else 1e-13)
 
-    def layer(x):
-        d = kernel_profile(0.5, n, x) - kernel_profile(0.5, n, 0.3)
-        return d / np.hypot(d, 1e-9), 1e-9 / np.hypot(d, 1e-9)
 
-    for got, want in zip(layer(t), layer(t_ref)):
-        assert w @ got == pytest.approx(w_ref @ want, abs=1e-13)
+@pytest.mark.parametrize("offset", [1e-3, 1e-9])
+@pytest.mark.parametrize("eps", [1e-4, 1e-7])
+def test_layer_next_to_a_cap_breakpoint_keeps_its_full_panel(offset, eps):
+    # r > 0.95: the layer panel covers cap breakpoints, which the log-level
+    # map does not need; a panel cut at the nearest one left a layer
+    # 1e-9 from its edge, and its moments 5e-7 off
+    from scipy.integrate import quad
+
+    r = 0.99
+    spec = ProblemSpec(n=2, m=1, r=r, a=np.array([0.0]), b=0.1)
+    cap = _axis_cap_breakpoints(r)
+    t_star = cap[1] + offset
+    x = kernel_profile(r, 2, t_star)
+    s = eps * 2 * r * kernel_profile(r, 2, t_star) ** 2  # eps g'(t*)
+    breaks, layer = _layer_rule(spec, x, s)
+    assert layer.hi - t_star == pytest.approx(0.5 * (1.0 - t_star))
+    assert not any(layer.lo < c < layer.hi for c in breaks)
+    t, w = segmented_nodes(zonal_rule(2), breaks, layer)
+    d = kernel_profile(r, 2, t) - x
+    d[-layer.nodes.size :] = layer.offsets
+    theta = math.acos(t_star)
+    edges = sorted({theta + k * eps for k in (-100, -10, -1, 0, 1, 10, 100)} | {math.acos(c) for c in cap})
+    edges = [0.0, *edges, math.pi]
+
+    def reference(f):  # t = cos(theta) takes the weight (1 - t^2)^(-1/2) / pi
+        g = lambda a: f(kernel_profile(r, 2, math.cos(a)) - x) / math.pi
+        return sum(quad(g, a0, a1, epsabs=1e-15, epsrel=1e-13, limit=200)[0] for a0, a1 in zip(edges, edges[1:]))
+
+    assert w @ (d / np.hypot(d, s)) == pytest.approx(reference(lambda e: e / math.hypot(e, s)), abs=1e-13)
+    assert w @ (s / np.hypot(d, s)) == pytest.approx(reference(lambda e: s / math.hypot(e, s)), abs=1e-13)
+
+
+def test_a_spliced_panel_replaces_the_panels_it_covers():
+    # breakpoints inside the caller's panel give way to its edges
+    rule = zonal_rule(4)
+    lo, hi = -0.2, 0.3
+    pt, pw = _segment_rule(4, 40, lo, hi)
+    panel = types.SimpleNamespace(lo=lo, hi=hi, nodes=pt, weights=pw)
+    t, w = segmented_nodes(rule, (-0.6, -0.2, 0.1, 0.3 + 1e-15, 0.5), panel)
+    edges = [-1.0, -0.6, lo, hi, 0.5, 1.0]
+    parts = [_segment_rule(4, 512, e0, e1) for e0, e1 in zip(edges, edges[1:]) if e0 != lo]
+    assert np.array_equal(t, np.concatenate([p[0] for p in parts] + [pt]))
+    assert np.array_equal(w, np.concatenate([p[1] for p in parts] + [pw]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_segmented_pairs_match_the_unsegmented_biaxial_rule(n):
+    # the t1 rule comes from segmented_nodes; on the circle each node
+    # gives the two points (t1, +-sqrt(1 - t1^2)) at half weight
+    rule = biaxial_rule(n, 128, 64)
+    t1, t2, w = segmented_pairs(rule, (-0.4, 0.2))
+    outer = segmented_nodes(zonal_rule(n, 128), (-0.4, 0.2))[0]
+    assert t1.size == outer.size * (2 if n == 2 else 64)
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    if n == 2:
+        np.testing.assert_allclose(t1 * t1 + t2 * t2, 1.0, atol=1e-15)
+    profile = lambda a, b: np.exp(0.7 * a - 0.4 * b) + a * b * b
+    plain = biaxial_integrate(rule, profile)
+    assert w @ profile(t1, t2) == pytest.approx(plain, abs=1e-14)
+    assert biaxial_integrate(rule, profile, t1_breakpoints=(-0.4, 0.2)) == pytest.approx(plain, abs=1e-14)
 
 
 def test_non_finite_profile_reports_node():
