@@ -30,7 +30,9 @@ from .linalg import (
 from .mapping import (
     BoundaryMap,
     MapEvaluation,
+    axis_values,
     boundary_map,
+    boundary_maps,
     constant_map,
     constraint_residuals,
     eval_batch,
@@ -56,6 +58,7 @@ from .solver import (
     lambda_path_point,
     moments_RI,
     moments_Rcal,
+    solve_batch,
     solve_positive_b,
     solve_zero_b,
 )
@@ -91,11 +94,13 @@ __all__ = [
     "SolverError",
     "admissible_mixture",
     "axis_bound",
+    "axis_values",
     "biaxial_integrate",
     "biaxial_rule",
     "bordered_dense",
     "bordered_det",
     "boundary_map",
+    "boundary_maps",
     "build_program",
     "classical_bound",
     "constant_map",
@@ -122,6 +127,7 @@ __all__ = [
     "rotation_to_pole",
     "run_suite",
     "sample_sphere",
+    "solve_batch",
     "solve_positive_b",
     "solve_zero_b",
     "taylor_gap",

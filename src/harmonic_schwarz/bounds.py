@@ -25,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import rotation_to_pole
-from .mapping import BoundaryMap, boundary_map, constraint_residuals, eval_on_axis
+from .mapping import (
+    BoundaryMap,
+    axis_values,
+    boundary_map,
+    boundary_maps,
+    constraint_residuals,
+    eval_on_axis,
+)
 from .solver import ProblemSpec, kernel_profile
 from .sphere import DEFAULT_ORDER, QuadratureRule, zonal_integrate, zonal_rule
 
@@ -108,10 +115,7 @@ def directional_bound(
     e = np.asarray(e, dtype=float)
     if e.shape != (spec.m + 1,):
         raise ValueError(f"direction must have shape ({spec.m + 1},), got {e.shape}")
-    rot = rotation_to_pole(e)
-    center = np.concatenate((spec.a, [spec.b])) @ rot
-    rotated = ProblemSpec(spec.n, spec.m, spec.r, center[: spec.m], float(center[spec.m]))
-    inner = axis_bound(rotated, rule, tol=tol)
+    inner = axis_bound(_rotated(spec, e), rule, tol=tol)
     return BoundResult(
         spec=spec,
         direction=e,
@@ -120,6 +124,12 @@ def directional_bound(
         residuals=inner.residuals,
         quadrature_error_estimate=inner.quadrature_error_estimate,
     )
+
+
+def _rotated(spec: ProblemSpec, e: np.ndarray) -> ProblemSpec:
+    """The problem whose first-coordinate bound is spec's bound along e."""
+    center = np.concatenate((spec.a, [spec.b])) @ rotation_to_pole(e)
+    return ProblemSpec(spec.n, spec.m, spec.r, center[: spec.m], float(center[spec.m]))
 
 
 def classical_bound(n: int, r: float, rule: QuadratureRule | None = None) -> float:
@@ -189,9 +199,15 @@ def region_envelope(
     """Envelope of the image of the closed r-ball from sampled directions.
 
     Pass ``directions`` explicitly to control the family; otherwise
-    ``count`` directions are generated by ``scheme``.  Directions are
-    processed and stored in order, so a fixed family yields a
-    reproducible envelope byte for byte.
+    ``count`` directions are generated by ``scheme``.  The center is
+    rotated once per direction, and the reduced duals of all directions
+    are minimized as one batch (``mapping.boundary_maps``); their axis
+    values are then taken in one pass (``mapping.axis_values``).
+    Each value is bit for bit ``directional_bound(spec, e).value``,
+    whatever the rest of the family, so a fixed family yields a
+    reproducible envelope byte for byte.  No witness, residuals or
+    error estimate is kept; ``directional_bound`` gives them.  Raises
+    ``SolverError`` when a direction misses its tolerance.
     """
     if directions is not None:
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -207,7 +223,7 @@ def region_envelope(
         dirs, resolved = direction_family(spec.m + 1, count, scheme, seed)
     if rule is None:
         rule = zonal_rule(spec.n, DEFAULT_ORDER)
-    values = np.array([directional_bound(spec, e, rule, tol=tol).value for e in dirs])
+    values = axis_values(boundary_maps([_rotated(spec, e) for e in dirs], rule, tol=tol), spec.r)
     return RegionEnvelope(
         spec=spec,
         directions=dirs,

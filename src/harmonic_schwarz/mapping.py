@@ -30,13 +30,17 @@ from functools import lru_cache
 import numpy as np
 
 from .solver import (
+    BATCH_ROWS,
     LagrangeSolution,
     Layer,
     ProblemSpec,
     _axis_cap_breakpoints,
     _crossing,
+    _field,
+    _segment_sums,
     datum,
     kernel_profile,
+    solve_batch,
     solve_positive_b,
     solve_zero_b,
 )
@@ -54,8 +58,10 @@ __all__ = [
     "BoundaryMap",
     "MapEvaluation",
     "boundary_map",
+    "boundary_maps",
     "constant_map",
     "eval_on_axis",
+    "axis_values",
     "eval_general",
     "eval_batch",
     "constraint_residuals",
@@ -112,15 +118,27 @@ def boundary_map(
     kw = {} if tol is None else {"tol": tol}
     if spec.b != 0.0:
         solved = spec if spec.b > 0.0 else ProblemSpec(spec.n, spec.m, spec.r, spec.a, -spec.b)
-        sol = solve_positive_b(solved, rule, **kw)
-        return BoundaryMap(spec, "positive_b", sol, sol.breakpoints, rule, sol.layer)
-    sol = solve_zero_b(spec, rule, **kw)
-    if sol.jump_point is not None:
-        return BoundaryMap(spec, "zero_b", sol, (sol.jump_point,), rule)
-    # a smooth datum, but curvature concentrates where u_1 crosses zero
-    t_star = None if sol.layer else _crossing(spec, float(sol.lam[0]))
-    breaks = sol.breakpoints if t_star is None else tuple(sorted({*sol.breakpoints, t_star}))
-    return BoundaryMap(spec, "zero_b", sol, breaks, rule, sol.layer)
+        return _wrap(spec, solve_positive_b(solved, rule, **kw), rule)
+    return _wrap(spec, solve_zero_b(spec, rule, **kw), rule)
+
+
+def boundary_maps(specs, rule: QuadratureRule | None = None, tol: float | None = None) -> list:
+    """``boundary_map`` of each of the specs, which share n and r, with all
+    their moment systems solved in one batch (``solver.solve_batch``)."""
+    specs = list(specs)
+    if rule is None:
+        rule = zonal_rule(specs[0].n, DEFAULT_ORDER)
+    return [_wrap(spec, sol, rule) for spec, sol in zip(specs, solve_batch(specs, rule, tol))]
+
+
+def _wrap(spec: ProblemSpec, sol: LagrangeSolution, rule: QuadratureRule) -> BoundaryMap:
+    breaks = sol.breakpoints
+    if sol.branch == "zero_b" and sol.jump_point is None and sol.layer is None:
+        # a smooth datum, but curvature concentrates where u_1 crosses zero
+        t_star = _crossing(spec, float(sol.lam[0]))
+        if t_star is not None:
+            breaks = tuple(sorted({*breaks, t_star}))
+    return BoundaryMap(spec, sol.branch, sol, breaks, rule, sol.layer)
 
 
 def constant_map(spec: ProblemSpec, rule: QuadratureRule | None = None) -> BoundaryMap:
@@ -143,24 +161,77 @@ def eval_on_axis(bmap: BoundaryMap, rho: float) -> MapEvaluation:
     The full and half order rules are compared to report a quadrature
     error estimate alongside the value.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"need 0 <= rho < 1, got rho={rho}")
-    n = bmap.spec.n
-    breaks = tuple(sorted({*bmap.breakpoints, *_axis_cap_breakpoints(rho)}))
-
-    def value_with(rule: QuadratureRule) -> np.ndarray:
-        t, w = segmented_nodes(rule, breaks, bmap.layer)
-        comps = bmap.components(np.append(t, 1.0))  # the last column is u(N)
-        kernel = (1.0 - rho * rho) * kernel_profile(rho, n, t)
-        return comps[:, -1] + (comps[:, :-1] - comps[:, -1:]) @ (w * kernel)
-
-    value = value_with(bmap.rule)
-    coarse = value_with(zonal_rule(n, max(bmap.rule.order // 2, 8)))
-    x = np.zeros(n)
+    _check_radius(rho)
+    value = _axis_value(bmap, rho, bmap.rule)
+    coarse = _axis_value(bmap, rho, zonal_rule(bmap.spec.n, max(bmap.rule.order // 2, 8)))
+    x = np.zeros(bmap.spec.n)
     x[-1] = rho
     return MapEvaluation(
         x=x, value=value, quadrature_error_estimate=float(np.abs(value - coarse).max())
     )
+
+
+def axis_values(maps, rho: float) -> np.ndarray:
+    """First component of each map's Poisson extension at rho * N.
+
+    Bit for bit ``eval_on_axis(bmap, rho).value[0]``, without the error
+    estimate.  The smooth data among the maps, which must share n and r
+    (an envelope's rotated problems do), are evaluated in one pass over
+    their concatenated nodes, each on the nodes ``eval_on_axis`` takes,
+    ``solver.BATCH_ROWS`` maps a pass.
+    """
+    _check_radius(rho)
+    if any((bmap.spec.n, bmap.spec.r) != (maps[0].spec.n, maps[0].spec.r) for bmap in maps):
+        raise ValueError("axis_values needs maps that share n and r")
+    if len(maps) > BATCH_ROWS:
+        return np.concatenate([axis_values(maps[k : k + BATCH_ROWS], rho) for k in range(0, len(maps), BATCH_ROWS)])
+    out = np.empty(len(maps))
+    smooth = []
+    for k, bmap in enumerate(maps):
+        sol = bmap.solution
+        if sol is None or sol.jump_point is not None:
+            out[k] = _axis_value(bmap, rho, bmap.rule)[0]
+        else:
+            smooth.append(k)
+    if not smooth:
+        return out
+    spec, nodes, shared = maps[smooth[0]].spec, [], {}
+    for k in smooth:
+        bmap = maps[k]
+        key = (id(bmap.rule), bmap.breakpoints, id(bmap.layer))
+        if key not in shared:
+            shared[key] = _axis_nodes(bmap, rho, bmap.rule)
+        nodes.append(shared[key])
+    x = np.array([maps[k].solution.lam[0] for k in smooth])
+    y = np.array([maps[k].solution.dual_point[1] for k in smooth])
+    sizes = [t.size for t, _ in nodes]
+    t = np.concatenate([t for t, _ in nodes])
+    d, big_r = _field(spec, np.repeat(x, sizes), np.repeat(y, sizes), t)  # the datum's u_1, as in solver.datum
+    d_pole, r_pole = _field(spec, x, y, np.ones(len(smooth)))
+    u, u_pole = d / big_r, d_pole / r_pole
+    kernel = (1.0 - rho * rho) * kernel_profile(rho, spec.n, t)
+    w = np.concatenate([w for _, w in nodes])
+    starts = np.cumsum(sizes) - sizes
+    out[smooth] = u_pole + _segment_sums((u - np.repeat(u_pole, sizes)) * (w * kernel), starts)
+    return out
+
+
+def _check_radius(rho: float) -> None:
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"need 0 <= rho < 1, got rho={rho}")
+
+
+def _axis_nodes(bmap: BoundaryMap, rho: float, rule: QuadratureRule):
+    breaks = tuple(sorted({*bmap.breakpoints, *_axis_cap_breakpoints(rho)}))
+    return segmented_nodes(rule, breaks, bmap.layer)
+
+
+def _axis_value(bmap: BoundaryMap, rho: float, rule: QuadratureRule) -> np.ndarray:
+    """u(N) + int (u - u(N)) P for every component u of the datum."""
+    t, w = _axis_nodes(bmap, rho, rule)
+    comps = bmap.components(np.append(t, 1.0))  # the last column is u(N)
+    kernel = (1.0 - rho * rho) * kernel_profile(rho, bmap.spec.n, t)
+    return comps[:, -1] + _segment_sums((comps[:, :-1] - comps[:, -1:]) * (w * kernel), [0])[:, 0]
 
 
 @lru_cache(maxsize=32)

@@ -41,9 +41,21 @@ crossing g(t) = x that no fixed Gauss rule resolves, so every iterate
 integrates that layer on one panel of its own, sinh-mapped in the log
 of the kernel level (``Layer``), and, once r > 0.95, grades the rest
 toward the kernel's pole (1 - r)^2 / (2r) beyond t = 1.
+
+The minimizer takes K such duals at once, for centers that share n and
+r (``solve_batch``; an envelope's rotated centers are one batch, and
+``solve_positive_b``, ``solve_zero_b`` and ``lambda_path_point`` are
+batches of one).  Each round evaluates the current candidates of all
+rows still iterating in one pass over their concatenated nodes: rows on
+the plain rule share its nodes and g(t), rows with a layer bring their
+own.  Every integral is its row's own segment sum (``np.add.reduceat``
+sums each segment alone, where a BLAS product's bits may depend on the
+rows beside it), the Newton step solves the row's 2x2 Hessian in closed
+form and the Armijo search is the row's own, so a row's bits and its
+evaluation count are the same in any batch.
 Negative b is never solved directly: callers flip the sign of the last
 target coordinate and negate the matching component of the map
-afterwards.
+afterwards (``solve_batch`` solves |b| itself).
 """
 
 from __future__ import annotations
@@ -78,6 +90,7 @@ __all__ = [
     "moments_RI",
     "jacobian_RI",
     "moments_Rcal",
+    "solve_batch",
     "solve_positive_b",
     "solve_zero_b",
     "lambda_path_point",
@@ -136,11 +149,15 @@ class LagrangeSolution:
 
     ``mu`` is None on the b = 0 branch, ``jump_point`` is the latitude
     of the sign jump and is only set when that branch degenerates to
-    two-valued data (zero multiplier tail).  ``iterations`` counts
-    evaluations of the reduced dual, or of the cap mass on that face.
-    ``breakpoints`` and ``layer`` are the panel edges and turnover layer
-    of the rule the solve ended on (empty, None if not needed); the
-    datum's quadratures take both: ``segmented_nodes(rule, breakpoints, layer)``.
+    two-valued data (zero multiplier tail).  ``dual_point`` is the
+    minimizer (x, y) = (lam_1, |(lam_2..lam_m, mu)|) of the reduced dual
+    (y = rho on the rho = 0 face), whose y is the datum's scale.
+    ``iterations`` counts evaluations of the reduced dual, or of the cap
+    mass on that face; ``newton_steps`` counts the Newton steps accepted
+    among them (in t* on the face).  ``breakpoints`` and ``layer`` are
+    the panel edges and turnover layer of the rule the solve ended on
+    (empty, None if not needed); the datum's quadratures take both:
+    ``segmented_nodes(rule, breakpoints, layer)``.
     """
 
     branch: str
@@ -148,6 +165,8 @@ class LagrangeSolution:
     mu: float | None
     residual: float
     iterations: int
+    newton_steps: int
+    dual_point: tuple[float, float]
     jump_point: float | None = None
     breakpoints: tuple[float, ...] = ()
     layer: Layer | None = None
@@ -172,10 +191,6 @@ def kernel_inverse(r: float, n: int, y: float) -> float:
     if not 0.0 < r < 1.0:
         raise ValueError(f"need 0 < r < 1, got r={r}")
     return (1.0 + r * r - y ** (-2.0 / n)) / (2.0 * r)
-
-
-def _kernel_slope(r: float, n: int, t: float) -> float:
-    return n * r * ((1.0 - r) ** 2 + 2.0 * r * (1.0 - t)) ** (-0.5 * n - 1.0)
 
 
 def _crossing(spec: ProblemSpec, level: float) -> float | None:
@@ -207,7 +222,7 @@ def _axis_cap_breakpoints(rho: float) -> tuple:
     return tuple(sorted(pts))
 
 
-def _layer_rule(spec: ProblemSpec, x: float, s: float):
+def _layer_rule(spec: ProblemSpec, x: float, s: float, t_star: float | None = None):
     """(breakpoints, layer) of the rule integrating the dual at (x, s).
 
     The datum turns over where g crosses x, within eps = s / g'(t*) of
@@ -219,15 +234,16 @@ def _layer_rule(spec: ProblemSpec, x: float, s: float):
     t(v) is entire, with no cap breakpoints (g's pole is at v = infinity):
     v = +-(s / x) sinh(tau), 16 Gauss points on tau-pieces at most 3 long
     (Johnston and Elliott), so the node count grows as log(1 / s).
+    ``t_star`` passes the point's entry of ``_layer_crossings``.
     """
     r, n = spec.r, spec.n
     cap = _axis_cap_breakpoints(r)
-    t_star = _crossing(spec, x)
-    if t_star is None or s >= 0.05 * _kernel_slope(r, n, t_star):
+    if t_star is None:
+        t_star = float(_layer_crossings(spec, np.array([x]), np.array([s]))[0])
+    if math.isnan(t_star):
         return cap, None
     h = 0.5 * (1.0 - abs(t_star))
-    far = [max(3.0 * h, 1e-15) * 4.0**k for k in range(1, 30)]  # from the far edge on
-    grade = [math.copysign(1.0 - d, t_star) for d in far if d < 0.4]
+    grade = _pole_grading(t_star, 3.0 * h)  # from the panel's far edge on
     if h < 5e-15:  # t* within rounding of the pole: no panel fits between them
         return tuple(sorted({*cap, *grade})), None
     lo, hi = t_star - h, t_star + h
@@ -246,6 +262,30 @@ def _layer_rule(spec: ProblemSpec, x: float, s: float):
     return tuple(sorted({*(c for c in cap if not lo <= c <= hi), *grade, lo, hi})), layer
 
 
+def _pole_grading(t_star: float, gap: float) -> list:
+    """Latitudes at distances gap 4^k (k >= 1, below 0.4) from the pole on
+    t*'s side: they grade a panel whose edge lies ``gap`` short of that pole
+    (its weight is singular for even n) at a bounded width to distance ratio."""
+    out, d = [], 4.0 * max(gap, 1e-15)
+    while d < 0.4:
+        out.append(math.copysign(1.0 - d, t_star))
+        d *= 4.0
+    return out
+
+
+def _layer_crossings(spec: ProblemSpec, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Crossings t* = g^{-1}(x) of the points (x, s) whose layer, of width
+    s / g'(t*), is below 0.05 and so takes a panel of its own; NaN where
+    g does not cross x inside (-1, 1) or the plain rule resolves the layer."""
+    r, n = spec.r, spec.n
+    # the kernel's base (1 + r^2 - 2 r t) is x^(-2/n) at t*, where
+    # g' = n r g / base; g >= (1 + r)^-n > 1e-5, so a level below 1e-300 crosses nowhere
+    base = np.maximum(x, 1e-300) ** (-2.0 / n)
+    t_star = (1.0 + r * r - base) / (2.0 * r)
+    thin = s < (0.05 * n * r) * x / base
+    return np.where((-1.0 < t_star) & (t_star < 1.0) & thin, t_star, math.nan)
+
+
 @lru_cache(maxsize=None)
 def _unit_pieces(pieces: int):
     """16-point Gauss-Legendre rule on [0, 1] cut into ``pieces`` equal pieces."""
@@ -254,14 +294,26 @@ def _unit_pieces(pieces: int):
     return u, np.tile(gw, pieces) / (2.0 * pieces)
 
 
-def _field(spec: ProblemSpec, x: float, s: float, t, layer: Layer | None = None):
+def _field(spec: ProblemSpec, x, s, t, layer: Layer | None = None):
     """d = g(t) - x and R = hypot(d, s): the datum is the unit vector of a
     field whose first component is d and whose other components have
     norm s.  t may end with the nodes of ``layer``, whose d is exact."""
     d = kernel_profile(spec.r, spec.n, t) - x
     if layer is not None:
-        d[d.size - layer.offsets.size :] = layer.offsets + (layer.level - x)
-    return d, np.hypot(d, s)
+        d[t.size - layer.offsets.size :] = layer.offsets + (layer.level - x)
+    return d, _norm(d, s)
+
+
+def _norm(d: np.ndarray, s) -> np.ndarray:
+    """hypot(d, s) as sqrt(d^2 + s^2), and as ``hypot`` itself only where
+    that squares out of the normal range (next to the crossing of a tiny
+    s, or past 1e154): each entry is its own, whatever the array."""
+    square = d * d + s * s
+    big_r = np.sqrt(square)
+    if not (square.min(initial=1.0) > 1e-290 and square.max(initial=1.0) < math.inf):
+        off = ~((square > 1e-290) & (square < math.inf))
+        big_r[off] = np.hypot(d, s)[off]
+    return big_r
 
 
 def _unit_field(spec: ProblemSpec, lam, mu: float, t: np.ndarray, layer=None):
@@ -278,11 +330,24 @@ def _unit_field(spec: ProblemSpec, lam, mu: float, t: np.ndarray, layer=None):
     return d * inv, s * inv, inv, tail, zeta
 
 
-def _layer_integrals(w: np.ndarray, u, sigma, inv):
-    """P0 = int sigma^2 / R, P1 = int u sigma / R and P2 = int u^2 / R:
-    the second derivatives of the dual and the moment Jacobian."""
-    wi = w * inv
-    return float(wi @ (sigma * sigma)), float(wi @ (u * sigma)), float(wi @ (u * u))
+def _segment_sums(a: np.ndarray, starts) -> np.ndarray:
+    """Sums of a over the segments of its last axis that begin at
+    ``starts``.  ``reduceat`` sums each segment alone, in an order set by
+    the segment's own length, so a segment's bits do not depend on its
+    neighbours (as a BLAS product's may on the rows beside it)."""
+    return np.add.reduceat(a, starts, axis=-1)
+
+
+def _layer_integrals(wi: np.ndarray, u, sigma, starts):
+    """P0 = int sigma^2 / R, P1 = int u sigma / R and P2 = int u^2 / R
+    from the weights wi = w / R: the second derivatives of the dual and
+    the moment Jacobian, one per segment."""
+    w_sigma = wi * sigma
+    return (
+        _segment_sums(w_sigma * sigma, starts),
+        _segment_sums(w_sigma * u, starts),
+        _segment_sums(wi * u * u, starts),
+    )
 
 
 def _moments(spec: ProblemSpec, lam, mu: float, t: np.ndarray, w: np.ndarray, layer=None):
@@ -298,7 +363,9 @@ def datum(spec: ProblemSpec, sol: LagrangeSolution, t) -> np.ndarray:
     The unit vector of (g(t) - lam_1, -lam_2..-lam_m, mu), with mu = 0 on
     the b = 0 branch and the last component carrying the sign of spec.b
     (a solution of the |b| problem serves negative b); sign(t - t*) on
-    the first component when the solution has a jump point.
+    the first component when the solution has a jump point.  Its norm
+    is taken as hypot(g(t) - lam_1, y) with y from ``sol.dual_point``,
+    which |(lam_2..lam_m, mu)| equals up to rounding.
     """
     t = np.asarray(t, dtype=float).reshape(-1)
     out = np.zeros((spec.m + 1, t.size))
@@ -306,7 +373,7 @@ def datum(spec: ProblemSpec, sol: LagrangeSolution, t) -> np.ndarray:
         out[0] = np.sign(t - sol.jump_point)
         return out
     lam, mu = sol.lam, sol.mu or 0.0
-    d, big_r = _field(spec, lam[0], math.hypot(mu, *lam[1:]), t)
+    d, big_r = _field(spec, lam[0], sol.dual_point[1], t)
     inv = 1.0 / big_r
     out[0] = d / big_r
     out[1 : spec.m] = -lam[1:, None] * inv
@@ -346,7 +413,7 @@ def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=N
         raise ValueError(f"need mu > 0, got mu={mu}")
     m = spec.m
     u, sigma, inv, tail, zeta = _unit_field(spec, lam, mu, rule.nodes, layer)
-    p0, p1, p2 = _layer_integrals(rule.weights, u, sigma, inv)
+    p0, p1, p2 = (float(p[0]) for p in _layer_integrals(rule.weights * inv, u, sigma, [0]))
     jac = np.empty((m + 1, m + 1))
     jac[0, 0] = -p0
     jac[0, 1:m] = jac[1:m, 0] = -tail * p1
@@ -383,16 +450,29 @@ def moments_Rcal(spec: ProblemSpec, lam, rule: QuadratureRule, breakpoints=None,
 
 def _conditioning_warnings(spec: ProblemSpec) -> list[str]:
     out = []
+    b = abs(spec.b)
     cap = np.sqrt(1.0 - float(spec.a @ spec.a))
-    if spec.b > 0.0 and cap - spec.b < 1e-8:
+    if b > 0.0 and cap - b < 1e-8:
         out.append(
             "b is within 1e-08 of its ceiling sqrt(1 - |a|^2); "
             "the moment system is near-degenerate"
         )
-    if 0.0 < spec.b < 1e-8:
+    if 0.0 < b < 1e-8:
         out.append(
             "b is positive but below 1e-08; staying on the positive branch "
             "as requested, though the b = 0 branch is numerically adjacent"
+        )
+    return out
+
+
+def _zero_b_warnings(spec: ProblemSpec, rho: float, bends: bool) -> list[str]:
+    out = []
+    if 1.0 - float(np.linalg.norm(spec.a)) < 1e-6:
+        out.append("|a| is within 1e-06 of the sphere; multipliers are boundary-adjacent")
+    if bends and rho < 1e-4:
+        out.append(
+            "|tail of a| below 1e-04: the datum is close to the two-valued "
+            "degenerate one and quadrature accuracy degrades"
         )
     return out
 
@@ -421,11 +501,12 @@ def _face_crossing(n: int, c1: float):
     it, whose weight absorbs the density's endpoint factor; the factor
     left is analytic well beyond the cap, so order 32 already gives the
     mass to rounding and costs no full-order rule build.  Returns
-    (t*, evaluations).
+    (t*, evaluations, Newton steps taken).
     """
     density, p = 2.0 * _zonal_constant(n), 0.5 * (n - 3)
     lo, hi = -1.0, 1.0
     t = -c1  # exact at n = 3, where the density is flat
+    steps = 0
     for evaluations in range(1, 100):
         if t <= 0.0:
             excess = 1.0 - 2.0 * float(_segment_rule(n, 32, -1.0, t)[1].sum()) - c1
@@ -441,92 +522,153 @@ def _face_crossing(n: int, c1: float):
         if abs(step) <= 1e-15:
             break
         nxt = t + step
-        if not lo < nxt < hi:
+        if lo < nxt < hi:
+            steps += 1
+        else:
             nxt = 0.5 * (lo + hi)
             if not lo < nxt < hi:
                 break
         t = nxt
-    return t, evaluations
+    return t, evaluations, steps
+
+
+# Rows evaluated in one pass: bounds the pass's temporaries (about a dozen
+# arrays of this many rows times 512-1,100 nodes) however many are solved.
+BATCH_ROWS = 64
 
 
 def _dual_terms(spec: ProblemSpec, rule: QuadratureRule, c1, rho, f, x, y):
-    """q, gradient, Hessian, int dsigma/R and (breakpoints, layer) at (x, y).
+    """Terms of K reduced duals at the points (x, y), from arrays of shape (K,).
 
-    The rule is the given one segmented by ``_layer_rule`` at the
-    crossing g(t) = x and the kernel's pole, rebuilt for every iterate;
-    on the layer d = g(t) - x is exact.  Everything is formed from R and the datum's unit vector
-    (d, y, f) / R, so neither cancellation across the crossing nor
-    under- or overflow at tiny y enters.  With s = |(y, f)| the Hessian
-    is [[P0, (y/s) P1], [(y/s) P1, P2 + (f/s)^2 P0]] in the integrals of
-    ``_layer_integrals``.
+    Returns the rows (q, dq/dx, dq/dy, the Hessian's xx, xy and yy
+    entries, int dsigma/R), shape (7, K), and each point's (breakpoints,
+    layer) from ``_layer_rule`` at the crossing g(t) = x and the kernel's
+    pole.  Points on the plain rule, segmented only at the
+    direction-independent cap breakpoints, share its nodes and g(t),
+    computed once; a point with a layer panel takes its own.  All points
+    are evaluated in one pass over their concatenated nodes, from R and
+    the datum's unit vector (d, y, f) / R, so neither cancellation across
+    the crossing nor under- or overflow at tiny y enters; each integral
+    is its point's own segment sum.  With s = |(y, f)| the Hessian is
+    [[P0, (y/s) P1], [(y/s) P1, P2 + (f/s)^2 P0]] in the integrals of
+    ``_layer_integrals``.  More than ``BATCH_ROWS`` points take several
+    passes, which changes no bit.
     """
-    s = math.hypot(y, f)
-    breaks, layer = _layer_rule(spec, x, s)
-    t, w = segmented_nodes(rule, breaks, layer)
-    d, big_r = _field(spec, x, s, t, layer)
+    if x.size > BATCH_ROWS:
+        parts = [
+            _dual_terms(spec, rule, *(v[k : k + BATCH_ROWS] for v in (c1, rho, f, x, y)))
+            for k in range(0, x.size, BATCH_ROWS)
+        ]
+        return np.concatenate([p[0] for p in parts], axis=1), [row_rule for p in parts for row_rule in p[1]]
+    r, n = spec.r, spec.n
+    s = np.hypot(y, f)
+    cap = _axis_cap_breakpoints(r)
+    plain_t, plain_w = segmented_nodes(rule, cap)
+    plain_g = None
+    rules, g, w = [], [], []
+    for k, t_star in enumerate(_layer_crossings(spec, x, s).tolist()):
+        if math.isnan(t_star):
+            if plain_g is None:
+                plain_g = kernel_profile(r, n, plain_t)
+            rules.append((cap, None))
+            g.append(plain_g)
+            w.append(plain_w)
+        else:
+            breaks, layer = _layer_rule(spec, float(x[k]), float(s[k]), t_star)
+            t, w_k = segmented_nodes(rule, breaks, layer)
+            rules.append((breaks, layer))
+            g.append(kernel_profile(r, n, t))
+            w.append(w_k)
+    sizes = [g_k.size for g_k in g]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    d = np.concatenate(g) - np.repeat(x, sizes)
+    for k, (_, layer) in enumerate(rules):
+        if layer is not None:  # exact on the layer's nodes, the last of its segment
+            d[ends[k] - layer.offsets.size : ends[k]] = layer.offsets + (layer.level - x[k])
+    s_at = np.repeat(s, sizes)
+    big_r = _norm(d, s_at)
     inv = 1.0 / big_r
     u = d * inv
-    excess = big_r - d
-    ahead = d > 0.0
-    excess[ahead] = s * (s / (big_r[ahead] + d[ahead]))
-    s0 = float(w @ inv)
-    p0, p1, p2 = _layer_integrals(w, u, s * inv, inv)
-    cos, sin = (y / s, f / s) if f else (1.0, 0.0)
-    hess = np.array([[p0, cos * p1], [cos * p1, p2 + sin * sin * p0]])
-    grad = np.array([c1 - float(w @ u), y * s0 - rho])
-    q = x * (c1 - 1.0) - y * rho + float(w @ excess)
-    return q, grad, hess, s0, (breaks, layer)
+    w = np.concatenate(w)
+    wi = w * inv
+    abs_d = np.abs(d)  # R - d = s^2 / (R + |d|) + (|d| - d): no cancellation on either side
+    excess = s_at * (s_at / (big_r + abs_d)) + (abs_d - d)
+    s0 = _segment_sums(wi, starts)
+    p0, p1, p2 = _layer_integrals(wi, u, s_at * inv, starts)
+    cos, sin = y / s, f / s  # exactly 1 and 0 at f = 0, as y > 0
+    q = x * (c1 - 1.0) - y * rho + _segment_sums(w * excess, starts)
+    grad = c1 - _segment_sums(w * u, starts), y * s0 - rho
+    return np.array([q, *grad, p0, cos * p1, p2 + sin * sin * p0, s0]), rules
 
 
-def _minimize_dual(spec, rule, perp, f, tol, x, y=None):
-    """Minimize the reduced dual of the center (a_1, perp) from (x, y).
+def _minimize_dual(spec, rule, c1, rho, f, tol, x, y):
+    """Minimize K reduced duals, of the centers (c1, rho) with fixed field
+    components f, from the points (x, y); arrays of shape (K,).
 
-    rho = |perp| and y defaults to rho x.  Damped Newton with Armijo
-    backtracking on q; a step may shrink y to no less than a tenth, so y
-    stays positive and still walks down to the tiny optimum of
-    near-degenerate centers.  Once q no longer resolves the step
+    Damped Newton with Armijo backtracking on q, for every row alone: the
+    step solves the row's 2x2 Hessian in closed form and may shrink y to no
+    less than a tenth, so y stays positive and still walks down to the tiny
+    optimum of near-degenerate centers.  Once q no longer resolves the step
     (alpha * decrement below 1e-12 |q|; at b ~ 1e-9 q moves by ~1e-18) a
-    decrease of the largest gradient entry is accepted instead.  Stops
-    when that entry is below min(tol, 1e-13) or no step makes progress.
-    The moment residual of the full system is the gradient, with the
-    y-entry spread over perp as perp_j / rho.  Returns (x, y, the terms
-    at (x, y), residual, evaluations); raises ``SolverError`` unless the
-    residual is below tol.
+    decrease of the row's largest gradient entry is accepted instead.  A
+    row stops when that entry is below min(tol, 1e-13), after 100 steps, 30
+    halvings or a step that makes no progress.  Each round evaluates the
+    candidates of all open rows in one ``_dual_terms`` call, so a row's
+    bits and evaluation count do not depend on K or on its neighbours.
+    The gradient is the moment residual.  Returns (x, y, the terms at
+    (x, y), each row's (breakpoints, layer), evaluations, Newton steps).
     """
-    c1 = float(spec.a[0])
-    rho = math.hypot(*perp)
-    if y is None:
-        y = rho * x
-    terms = _dual_terms(spec, rule, c1, rho, f, x, y)
-    evaluations = 1
-    for _ in range(100):
-        q, grad, hess = terms[:3]
-        size = float(np.abs(grad).max())
-        if size <= min(tol, 1e-13):
-            break
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            break
-        decrement = -float(grad @ step)
-        if not decrement > 0.0:
-            break
-        alpha = 1.0 if step[1] >= 0.0 else min(1.0, 0.9 * y / -step[1])
-        for _ in range(30):
-            cand = _dual_terms(spec, rule, c1, rho, f, x + alpha * step[0], y + alpha * step[1])
-            evaluations += 1
-            if cand[0] <= q - 1e-4 * alpha * decrement:
-                break
-            if alpha * decrement < 1e-12 * abs(q) and float(np.abs(cand[1]).max()) < size:
-                break
-            alpha *= 0.5
-        else:
-            break
-        x, y, terms = x + alpha * step[0], y + alpha * step[1], cand
-    spread = float(np.abs(perp).max()) / rho if rho > 0.0 else 0.0
-    residual = float(max(abs(terms[1][0]), abs(terms[1][1]) * spread))
-    _check_residual(residual, tol, evaluations)
-    return x, y, terms, residual, evaluations
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    terms, rules = _dual_terms(spec, rule, c1, rho, f, x, y)
+    count = x.size
+    evaluations, steps, halvings = (np.zeros(count, dtype=int) for _ in range(3))
+    evaluations += 1
+    step, alpha, decrement, size = np.zeros((2, count)), np.ones(count), np.zeros(count), np.zeros(count)
+    searching = np.zeros(count, dtype=bool)
+
+    def newton(rows):
+        # the Newton step of each row, or the end of its iteration
+        _, g0, g1, h00, h01, h11 = terms[:6, rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = h00 * h11 - h01 * h01
+            dx, dy = (h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det
+            dec = -(g0 * dx + g1 * dy)
+            alpha[rows] = np.where(dy >= 0.0, 1.0, np.minimum(1.0, 0.9 * y[rows] / -dy))
+        size[rows] = np.maximum(np.abs(g0), np.abs(g1))
+        searching[rows] = (
+            (size[rows] > np.minimum(tol[rows], 1e-13)) & (dec > 0.0) & (dec < np.inf) & (steps[rows] < 100)
+        )
+        step[:, rows], decrement[rows], halvings[rows] = (dx, dy), dec, 0
+
+    newton(np.arange(count))
+    while searching.any():
+        rows = np.flatnonzero(searching)
+        cx = x[rows] + alpha[rows] * step[0, rows]
+        cy = y[rows] + alpha[rows] * step[1, rows]
+        cand, cand_rules = _dual_terms(spec, rule, c1[rows], rho[rows], f[rows], cx, cy)
+        evaluations[rows] += 1
+        q, progress = terms[0, rows], alpha[rows] * decrement[rows]
+        accept = (cand[0] <= q - 1e-4 * progress) | (
+            (progress < 1e-12 * np.abs(q)) & (np.maximum(np.abs(cand[1]), np.abs(cand[2])) < size[rows])
+        )
+        took = rows[accept]
+        x[took], y[took], terms[:, took] = cx[accept], cy[accept], cand[:, accept]
+        for k, j in zip(took.tolist(), np.flatnonzero(accept).tolist()):
+            rules[k] = cand_rules[j]
+        steps[took] += 1
+        newton(took)
+        back = rows[~accept]
+        alpha[back] *= 0.5
+        halvings[back] += 1
+        searching[back[halvings[back] >= 30]] = False
+    return x, y, terms, rules, evaluations, steps
+
+
+def _residual(terms, spread):
+    """The full moment system's residual from the dual's gradient, whose
+    y-entry spreads over the center's components perp_j as perp_j / rho."""
+    return np.maximum(np.abs(terms[1]), np.abs(terms[2]) * spread)
 
 
 def _face_level(spec: ProblemSpec) -> float:
@@ -541,15 +683,107 @@ def _face_level(spec: ProblemSpec) -> float:
 _FACE_RHO = 1e-300
 
 
-def _solve_face(spec: ProblemSpec, rule: QuadratureRule, tol: float):
-    """(lam, t*, residual against (a, b), evaluations) of the rho = 0 face,
-    lam = (g(t*), 0, ..., 0); raises ``SolverError`` unless residual < tol."""
-    t_star, evaluations = _face_crossing(spec.n, float(spec.a[0]))
+def _solve_face(spec: ProblemSpec, rule: QuadratureRule):
+    """(lam, t*, breakpoints, residual against (a, |b|), evaluations, Newton
+    steps) of the rho = 0 face, lam = (g(t*), 0, ..., 0).
+
+    The residual integrates the sign datum with t* as a breakpoint and, when
+    t* lies within 0.1 of a pole, the panel across t* graded toward that
+    pole, whose latitude weight is singular for even n; the datum's later
+    quadratures take the same breakpoints.
+    """
+    t_star, evaluations, steps = _face_crossing(spec.n, float(spec.a[0]))
+    t_star = float(t_star)
     lam = np.zeros(spec.m)
     lam[0] = kernel_profile(spec.r, spec.n, t_star)
-    residual = max(float(np.abs(moments_Rcal(spec, lam, rule) - spec.a).max()), spec.b)
-    _check_residual(residual, tol, evaluations)
-    return lam, float(t_star), residual, evaluations
+    breaks = tuple(sorted({t_star, *_pole_grading(t_star, 1.0 - abs(t_star))}))
+    residual = max(float(np.abs(moments_Rcal(spec, lam, rule, breaks) - spec.a).max()), abs(spec.b))
+    return lam, t_star, breaks, residual, evaluations, steps
+
+
+def _solve(specs, rule, tol, x0=None) -> list[LagrangeSolution]:
+    """Solutions of centers sharing n and r: b > 0 branch for |b| unless b = 0.
+
+    ``tol`` None takes each branch's default.  Face centers (rho below
+    1e-300) solve for t* alone; all others minimize their reduced duals in
+    one ``_minimize_dual`` call, started at the face optimum x = g(t*),
+    y = rho x, or at ``x0`` = (lam_1, mu).  Raises ``SolverError`` for the
+    first center, in order, whose residual misses its tolerance.
+    """
+    if rule is None:
+        rule = zonal_rule(specs[0].n, DEFAULT_ORDER)
+    perps = [np.append(s.a[1:], abs(s.b)) if s.b else s.a[1:] for s in specs]
+    rho = [math.hypot(*perp) for perp in perps]
+    tols = [(1e-10 if s.b else 1e-8) if tol is None else tol for s in specs]
+    dual = [k for k in range(len(specs)) if rho[k] >= _FACE_RHO]
+    if dual:
+        start = np.empty((2, len(dual)))
+        for j, k in enumerate(dual):
+            if x0 is None:
+                start[0, j] = _face_level(specs[k])
+                start[1, j] = rho[k] * start[0, j]
+            else:
+                start[:, j] = x0[0], x0[1] * (rho[k] / abs(specs[k].b))
+        c1, rho_d, tol_d = (np.array([v[k] for k in dual]) for v in ([s.a[0] for s in specs], rho, tols))
+        x, y, terms, rules, evaluations, steps = _minimize_dual(
+            specs[0], rule, c1, rho_d, np.zeros(len(dual)), tol_d, *start
+        )
+        residual = _residual(terms, np.array([float(np.abs(perps[k]).max()) / rho[k] for k in dual]))
+    solved = {k: j for j, k in enumerate(dual)}
+    out = []
+    for k, spec in enumerate(specs):
+        b, j = abs(spec.b), solved.get(k)
+        if j is None:
+            lam, t_star, breaks, res, evals, newton = _solve_face(spec, rule)
+            point, layer = (float(lam[0]), float(rho[k])), None
+        else:
+            point, res, evals, newton = (float(x[j]), float(y[j])), float(residual[j]), int(evaluations[j]), int(steps[j])
+            (breaks, layer), t_star = rules[j], None
+        _check_residual(res, tols[k], evals)
+        if b:  # y = rho on the face gives mu = b
+            mu = point[1] * (b / rho[k]) if j is not None else b
+            lam = np.concatenate(([point[0]], (-spec.a[1:] / b) * mu))
+            warnings = _conditioning_warnings(spec)
+        else:
+            mu, warnings = None, _zero_b_warnings(spec, rho[k], j is not None)
+            if j is not None:
+                lam = np.concatenate(([point[0]], -point[1] * (spec.a[1:] / rho[k])))
+        out.append(
+            LagrangeSolution(
+                branch="positive_b" if b else "zero_b",
+                lam=lam,
+                mu=mu,
+                residual=res,
+                iterations=evals,
+                newton_steps=newton,
+                dual_point=point,
+                jump_point=None if b else t_star,
+                breakpoints=breaks,
+                layer=layer,
+                warnings=tuple(warnings),
+            )
+        )
+    return out
+
+
+def solve_batch(specs, rule: QuadratureRule | None = None, tol: float | None = None) -> list[LagrangeSolution]:
+    """Solve the moment systems of centers sharing n and r in one batch.
+
+    A center with b != 0 is solved on the b > 0 branch for |b| (``datum``
+    signs the last component from spec.b), one with b = 0 on the b = 0
+    branch; ``tol`` defaults to each branch's (1e-10 and 1e-8).  All
+    reduced duals off the rho = 0 face are minimized in one call, and a
+    row's result does not depend on the other rows, so each solution is
+    bit for bit the one ``solve_positive_b`` or ``solve_zero_b`` returns.
+    Raises ``SolverError`` for the first center, in order, that misses its
+    tolerance.
+    """
+    specs = list(specs)
+    if any((s.n, s.r) != (specs[0].n, specs[0].r) for s in specs):
+        raise ValueError("a batch needs centers that share n and r")
+    if tol is not None:
+        _check_tol(tol)
+    return _solve(specs, rule, tol) if specs else []
 
 
 def solve_positive_b(
@@ -568,38 +802,14 @@ def solve_positive_b(
     the datum's turnover layer on its own panel (``layer``), which small
     b makes arbitrarily thin.  Centers with rho = |(a_2..a_m, b)|
     below 1e-300 are solved on the rho = 0 face, with y = rho and the
-    single breakpoint t*.
+    breakpoint t*.
     """
     if spec.b <= 0.0:
         raise ValueError(f"positive branch requires b > 0, got b={spec.b}")
     _check_tol(tol)
-    if rule is None:
-        rule = zonal_rule(spec.n, DEFAULT_ORDER)
-    perp = np.append(spec.a[1:], spec.b)
-    rho = math.hypot(*perp)
-    if rho < _FACE_RHO:  # y = rho, so mu = b; the datum jumps at t*
-        lam, t_star, residual, evaluations = _solve_face(spec, rule, tol)
-        x, mu, (breaks, layer) = lam[0], spec.b, ((t_star,), None)
-    else:
-        if x0 is None:
-            x, y = _face_level(spec), None
-        else:
-            x, mu = float(x0[0]), float(x0[1])
-            if mu <= 0.0:
-                raise ValueError(f"initial mu must be positive, got {mu}")
-            y = mu * (rho / spec.b)
-        x, y, terms, residual, evaluations = _minimize_dual(spec, rule, perp, 0.0, tol, x, y)
-        mu, (breaks, layer) = y * (spec.b / rho), terms[4]
-    return LagrangeSolution(
-        branch="positive_b",
-        lam=np.concatenate(([x], (-spec.a[1:] / spec.b) * mu)),
-        mu=mu,
-        residual=residual,
-        iterations=evaluations,
-        breakpoints=breaks,
-        layer=layer,
-        warnings=tuple(_conditioning_warnings(spec)),
-    )
+    if x0 is not None and float(x0[1]) <= 0.0:
+        raise ValueError(f"initial mu must be positive, got {float(x0[1])}")
+    return _solve([spec], rule, tol, None if x0 is None else (float(x0[0]), float(x0[1])))[0]
 
 
 def solve_zero_b(
@@ -620,38 +830,7 @@ def solve_zero_b(
     if spec.b != 0.0:
         raise ValueError(f"zero branch requires b = 0, got b={spec.b}")
     _check_tol(tol)
-    if rule is None:
-        rule = zonal_rule(spec.n, DEFAULT_ORDER)
-    warnings = []
-    if 1.0 - float(np.linalg.norm(spec.a)) < 1e-6:
-        warnings.append(
-            "|a| is within 1e-06 of the sphere; multipliers are boundary-adjacent"
-        )
-    rho = math.hypot(*spec.a[1:])
-    t_star, (breaks, layer) = None, ((), None)
-    if rho < _FACE_RHO:
-        lam, t_star, residual, evaluations = _solve_face(spec, rule, tol)
-    else:
-        if rho < 1e-4:
-            warnings.append(
-                "|tail of a| below 1e-04: the datum is close to the two-valued "
-                "degenerate one and quadrature accuracy degrades"
-            )
-        x, y, terms, residual, evaluations = _minimize_dual(
-            spec, rule, spec.a[1:], 0.0, tol, _face_level(spec)
-        )
-        lam, (breaks, layer) = np.concatenate(([x], -y * (spec.a[1:] / rho))), terms[4]
-    return LagrangeSolution(
-        branch="zero_b",
-        lam=lam,
-        mu=None,
-        residual=residual,
-        iterations=evaluations,
-        jump_point=t_star,
-        breakpoints=breaks,
-        layer=layer,
-        warnings=tuple(warnings),
-    )
+    return _solve([spec], rule, tol)[0]
 
 
 def lambda_path_point(spec: ProblemSpec, mu: float, rule: QuadratureRule | None = None):
@@ -668,10 +847,16 @@ def lambda_path_point(spec: ProblemSpec, mu: float, rule: QuadratureRule | None 
     if rule is None:
         rule = zonal_rule(spec.n, DEFAULT_ORDER)
     perp = spec.a[1:]
-    x, y, terms, _, _ = _minimize_dual(spec, rule, perp, mu, 1e-10, _face_level(spec))
-    lam = np.zeros(spec.m)
-    lam[0] = x
     rho = math.hypot(*perp)
+    x = _face_level(spec)
+    row = lambda v: np.array([v], dtype=float)
+    x, y, terms, _, evaluations, _ = _minimize_dual(
+        spec, rule, row(spec.a[0]), row(rho), row(mu), row(1e-10), row(x), row(rho * x)
+    )
+    spread = float(np.abs(perp).max()) / rho if rho > 0.0 else 0.0
+    _check_residual(float(_residual(terms, spread)[0]), 1e-10, int(evaluations[0]))
+    lam = np.zeros(spec.m)
+    lam[0] = x[0]
     if rho > 0.0:
-        lam[1:] = -y * (perp / rho)
-    return lam, float(mu * terms[3])
+        lam[1:] = -y[0] * (perp / rho)
+    return lam, float(mu * terms[6, 0])

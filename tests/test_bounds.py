@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonic_schwarz import ProblemSpec, eval_on_axis
+from harmonic_schwarz import ProblemSpec, SolverError, eval_on_axis
 from harmonic_schwarz.bounds import (
     axis_bound,
     classical_bound,
@@ -151,6 +151,72 @@ def test_envelope_explicit_directions():
     assert env.scheme == "explicit"
     for e, h in zip(dirs, env.values):
         assert h == directional_bound(spec, e).value
+
+
+def _unit_rows(rng, count, dim):
+    out = rng.standard_normal((count, dim))
+    return out / np.linalg.norm(out, axis=1)[:, None]
+
+
+def _batch_family(kind):
+    """(spec, directions) whose solves take one path of the batched minimizer."""
+    rng = np.random.default_rng({"plain": 11, "layered": 12, "cap": 13, "zero_b": 14}.get(kind, 0))
+    if kind == "plain":
+        spec = ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.3, -0.2]), b=0.35)
+        return spec, _unit_rows(rng, 12, 3)
+    if kind == "layered":  # within 1e-8 of the center's own direction: a thin turnover layer
+        spec = ProblemSpec(n=4, m=2, r=0.7, a=np.array([0.25, 0.4]), b=0.3)
+        own = np.append(spec.a, spec.b) / math.hypot(*spec.a, spec.b)
+        dirs = own + rng.uniform(1e-10, 1e-8) * _unit_rows(rng, 8, 3)
+        return spec, dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    if kind == "cap":  # r > 0.95: every rule is graded toward the pole
+        spec = ProblemSpec(n=2, m=2, r=0.97, a=np.array([-0.3, 0.5]), b=0.2)
+        return spec, _unit_rows(rng, 10, 3)
+    if kind == "zero_b":  # directions in the a-plane keep b = 0 with a tail; others mix in b > 0
+        spec = ProblemSpec(n=3, m=2, r=0.6, a=np.array([0.3, -0.4]), b=0.0)
+        theta = rng.uniform(0.0, 2.0 * np.pi, 10)
+        return spec, np.vstack((np.column_stack((np.cos(theta), np.sin(theta), np.zeros(10))), _unit_rows(rng, 4, 3)))
+    # +-e1 with a zero tail: the rho = 0 face, next to a pole, or with a
+    # tail below 1e-300 on the b > 0 branch
+    e1 = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    if kind == "face":
+        return ProblemSpec(n=2, m=2, r=0.6060684418185088, a=np.array([-0.9996886444013925, 0.0]), b=0.0), e1
+    return ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.4, 0.0]), b=1e-305), e1
+
+
+@pytest.mark.parametrize("kind", ["plain", "layered", "cap", "zero_b", "face", "face_b"])
+def test_batching_does_not_change_a_direction_value(kind):
+    spec, dirs = _batch_family(kind)
+    witness = directional_bound(spec, dirs[0]).witness
+    assert {
+        "plain": witness.layer is None and not witness.breakpoints,
+        "layered": witness.layer is not None,
+        "cap": bool(witness.breakpoints) and witness.layer is None,
+        "zero_b": witness.branch == "zero_b" and witness.solution.jump_point is None,
+        "face": witness.solution.jump_point is not None,
+        "face_b": witness.branch == "positive_b" and witness.solution.dual_point[1] < 1e-300,
+    }[kind]
+    values = region_envelope(spec, directions=dirs).values
+    for e, h in zip(dirs, values):
+        assert h == directional_bound(spec, e).value
+    order = np.random.default_rng(3).permutation(len(dirs))
+    np.testing.assert_array_equal(region_envelope(spec, directions=dirs[order]).values, values[order])
+    np.testing.assert_array_equal(region_envelope(spec, directions=dirs[::2]).values, values[::2])
+
+
+def test_batches_past_one_pass_keep_every_value():
+    # more directions than one pass takes (solver.BATCH_ROWS) are split
+    # into passes; the values at the seams are still the lone ones
+    spec = ProblemSpec(n=3, m=1, r=0.5, a=np.array([0.3]), b=0.4)
+    env = region_envelope(spec, count=130, scheme="random", seed=2)
+    for i in (0, 63, 64, 65, 128, 129):
+        assert env.values[i] == directional_bound(spec, env.directions[i]).value
+
+
+def test_envelope_raises_when_a_direction_misses_its_tolerance():
+    spec = ProblemSpec(3, 2, 0.5, (0.3, -0.2), 0.35)
+    with pytest.raises(SolverError):
+        region_envelope(spec, count=8, scheme="random", seed=1, tol=1e-18)
 
 
 def test_envelope_direction_validation():

@@ -24,6 +24,7 @@ from harmonic_schwarz import (
     zonal_rule,
 )
 from harmonic_schwarz.bounds import axis_bound, directional_bound
+from harmonic_schwarz.solver import solve_batch
 from harmonic_schwarz.sphere import _zonal_constant, segmented_nodes
 
 
@@ -485,6 +486,35 @@ def test_layer_next_to_a_pole_grades_its_far_side(a1, b):
     result = axis_bound(spec)
     assert result.witness.layer is not None
     assert result.value == pytest.approx(reduced_dual_min(2, 0.5, a1, b), abs=1e-10)
+
+
+def test_face_crossing_next_to_a_pole_grades_the_far_panel():
+    # t* lies 1.2e-7 from the pole +1: segmented at t* alone, the panel
+    # [-1, t*] missed the singular weight of n = 2 just beyond its end and
+    # the face solve stalled at residual 4.0e-4
+    spec = ProblemSpec(n=2, m=2, r=0.6060684418185088, a=np.array([-0.9996886444013925, 0.0]), b=0.0)
+    result = axis_bound(spec)
+    sol = result.witness.solution
+    assert sol.jump_point is not None and sol.residual < 1e-10
+    assert max(result.residuals) < 1e-10
+    assert result.value == pytest.approx(reduced_dual_min(2, spec.r, spec.a[0], 0.0), abs=1e-10)
+
+
+def test_a_batch_needs_centers_that_share_n_and_r():
+    specs = [ProblemSpec(n=3, m=1, r=r, a=np.array([0.2]), b=0.3) for r in (0.5, 0.6)]
+    with pytest.raises(ValueError):
+        solve_batch(specs)
+    assert solve_batch([]) == []
+
+
+def test_newton_steps_are_counted_apart_from_evaluations():
+    spec = ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.3, -0.2]), b=0.35)
+    sol = solve_positive_b(spec)
+    assert 0 < sol.newton_steps < sol.iterations
+    assert sol.lam[0] == sol.dual_point[0]
+    assert sol.dual_point[1] == pytest.approx(math.hypot(sol.mu, *sol.lam[1:]), rel=1e-15)
+    face = solve_zero_b(ProblemSpec(n=2, m=1, r=0.5, a=np.array([0.3]), b=0.0))
+    assert 0 < face.newton_steps <= face.iterations
 
 
 def test_dual_near_r_1_sees_the_pole_of_the_kernel():
