@@ -20,7 +20,7 @@ witness, so no halfspace can be tightened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,15 +115,7 @@ def directional_bound(
     e = np.asarray(e, dtype=float)
     if e.shape != (spec.m + 1,):
         raise ValueError(f"direction must have shape ({spec.m + 1},), got {e.shape}")
-    inner = axis_bound(_rotated(spec, e), rule, tol=tol)
-    return BoundResult(
-        spec=spec,
-        direction=e,
-        value=inner.value,
-        witness=inner.witness,
-        residuals=inner.residuals,
-        quadrature_error_estimate=inner.quadrature_error_estimate,
-    )
+    return replace(axis_bound(_rotated(spec, e), rule, tol=tol), spec=spec, direction=e)
 
 
 def _rotated(spec: ProblemSpec, e: np.ndarray) -> ProblemSpec:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .acceptance import CRITERIA, run_suite
 from .bounds import (
+    _fmt,
     axis_bound,
     classical_bound,
     directional_bound,
@@ -32,10 +33,6 @@ from .solver import ProblemSpec
 from .sphere import DEFAULT_ORDER, zonal_rule
 
 __all__ = ["build_parser", "main"]
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _vector(text: str) -> np.ndarray:

@@ -20,12 +20,18 @@ integral, since |x - omega|^2 = 1 + rho^2 - 2 rho (t1 cos(theta)
 + t2 sin(theta)).  Latitude jumps of the datum and, for r > 0.95, the
 polar cap where the kernel concentrates reach the rules as breakpoints,
 a thin turnover layer as its own sinh-mapped panel (``solver.Layer``).
+
+Each single-center path is the batch of one: ``boundary_map`` is
+``boundary_maps`` of one spec, and ``eval_on_axis`` and ``axis_values``
+both run the one axis evaluator ``_on_axis``, which takes all components
+of many maps in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,13 +42,10 @@ from .solver import (
     ProblemSpec,
     _axis_cap_breakpoints,
     _crossing,
-    _field,
     _segment_sums,
     datum,
     kernel_profile,
     solve_batch,
-    solve_positive_b,
-    solve_zero_b,
 )
 from .sphere import (
     DEFAULT_ORDER,
@@ -88,10 +91,7 @@ class BoundaryMap:
 
     def components(self, t: np.ndarray) -> np.ndarray:
         """All m+1 component profiles stacked, shape (m+1, len(t))."""
-        if self.solution is None:
-            t = np.asarray(t, dtype=float).reshape(-1)
-            return np.repeat(np.append(self.spec.a, self.spec.b)[:, None], t.size, axis=1)
-        return datum(self.spec, self.solution, t)
+        return datum([self.spec], [self.solution], t)
 
 
 @dataclass(frozen=True)
@@ -108,23 +108,15 @@ def boundary_map(
     rule: QuadratureRule | None = None,
     tol: float | None = None,
 ) -> BoundaryMap:
-    """Solve the moment system for spec and wrap the extremal datum.
-
-    Negative b is handled through the sign symmetry: the |b| problem is
-    solved and only the last component profile changes sign.
-    """
-    if rule is None:
-        rule = zonal_rule(spec.n, DEFAULT_ORDER)
-    kw = {} if tol is None else {"tol": tol}
-    if spec.b != 0.0:
-        solved = spec if spec.b > 0.0 else ProblemSpec(spec.n, spec.m, spec.r, spec.a, -spec.b)
-        return _wrap(spec, solve_positive_b(solved, rule, **kw), rule)
-    return _wrap(spec, solve_zero_b(spec, rule, **kw), rule)
+    """Solve the moment system for spec and wrap the extremal datum: the
+    batch of one of ``boundary_maps``."""
+    return boundary_maps([spec], rule, tol)[0]
 
 
 def boundary_maps(specs, rule: QuadratureRule | None = None, tol: float | None = None) -> list:
-    """``boundary_map`` of each of the specs, which share n and r, with all
-    their moment systems solved in one batch (``solver.solve_batch``)."""
+    """The boundary maps of specs that share n and r, with all their moment
+    systems solved in one batch (``solver.solve_batch``, which also solves
+    a negative b as |b|)."""
     specs = list(specs)
     if rule is None:
         rule = zonal_rule(specs[0].n, DEFAULT_ORDER)
@@ -156,14 +148,13 @@ def constant_map(spec: ProblemSpec, rule: QuadratureRule | None = None) -> Bound
 def eval_on_axis(bmap: BoundaryMap, rho: float) -> MapEvaluation:
     """Poisson extension at rho * N, 0 <= rho < 1.
 
-    Taken as u(N) + int (u - u(N)) P, as P has unit mass: P peaks within
-    (1 - rho)^2 of the pole, so rounded nodes miss its mass by ~1e-16 / (1 - rho)^2.
-    The full and half order rules are compared to report a quadrature
-    error estimate alongside the value.
+    The axis evaluator ``_on_axis`` run on the map at its own rule and at
+    half order, both in one pass; the two are compared to report a
+    quadrature error estimate alongside the value.
     """
     _check_radius(rho)
-    value = _axis_value(bmap, rho, bmap.rule)
-    coarse = _axis_value(bmap, rho, zonal_rule(bmap.spec.n, max(bmap.rule.order // 2, 8)))
+    half = zonal_rule(bmap.spec.n, max(bmap.rule.order // 2, 8))
+    value, coarse = _on_axis([bmap, bmap], rho, [bmap.rule, half]).T
     x = np.zeros(bmap.spec.n)
     x[-1] = rho
     return MapEvaluation(
@@ -175,45 +166,16 @@ def axis_values(maps, rho: float) -> np.ndarray:
     """First component of each map's Poisson extension at rho * N.
 
     Bit for bit ``eval_on_axis(bmap, rho).value[0]``, without the error
-    estimate.  The smooth data among the maps, which must share n and r
-    (an envelope's rotated problems do), are evaluated in one pass over
-    their concatenated nodes, each on the nodes ``eval_on_axis`` takes,
+    estimate: the first row of ``_on_axis`` at each map's own rule, for
+    maps that share n, m and r (an envelope's rotated problems do),
     ``solver.BATCH_ROWS`` maps a pass.
     """
     _check_radius(rho)
-    if any((bmap.spec.n, bmap.spec.r) != (maps[0].spec.n, maps[0].spec.r) for bmap in maps):
-        raise ValueError("axis_values needs maps that share n and r")
-    if len(maps) > BATCH_ROWS:
-        return np.concatenate([axis_values(maps[k : k + BATCH_ROWS], rho) for k in range(0, len(maps), BATCH_ROWS)])
-    out = np.empty(len(maps))
-    smooth = []
-    for k, bmap in enumerate(maps):
-        sol = bmap.solution
-        if sol is None or sol.jump_point is not None:
-            out[k] = _axis_value(bmap, rho, bmap.rule)[0]
-        else:
-            smooth.append(k)
-    if not smooth:
-        return out
-    spec, nodes, shared = maps[smooth[0]].spec, [], {}
-    for k in smooth:
-        bmap = maps[k]
-        key = (id(bmap.rule), bmap.breakpoints, id(bmap.layer))
-        if key not in shared:
-            shared[key] = _axis_nodes(bmap, rho, bmap.rule)
-        nodes.append(shared[key])
-    x = np.array([maps[k].solution.lam[0] for k in smooth])
-    y = np.array([maps[k].solution.dual_point[1] for k in smooth])
-    sizes = [t.size for t, _ in nodes]
-    t = np.concatenate([t for t, _ in nodes])
-    d, big_r = _field(spec, np.repeat(x, sizes), np.repeat(y, sizes), t)  # the datum's u_1, as in solver.datum
-    d_pole, r_pole = _field(spec, x, y, np.ones(len(smooth)))
-    u, u_pole = d / big_r, d_pole / r_pole
-    kernel = (1.0 - rho * rho) * kernel_profile(rho, spec.n, t)
-    w = np.concatenate([w for _, w in nodes])
-    starts = np.cumsum(sizes) - sizes
-    out[smooth] = u_pole + _segment_sums((u - np.repeat(u_pole, sizes)) * (w * kernel), starts)
-    return out
+    shape = (maps[0].spec.n, maps[0].spec.m, maps[0].spec.r)
+    if any((bmap.spec.n, bmap.spec.m, bmap.spec.r) != shape for bmap in maps):
+        raise ValueError("axis_values needs maps that share n, m and r")
+    passes = [maps[k : k + BATCH_ROWS] for k in range(0, len(maps), BATCH_ROWS)]
+    return np.concatenate([_on_axis(part, rho, [bmap.rule for bmap in part])[0] for part in passes])
 
 
 def _check_radius(rho: float) -> None:
@@ -221,17 +183,32 @@ def _check_radius(rho: float) -> None:
         raise ValueError(f"need 0 <= rho < 1, got rho={rho}")
 
 
-def _axis_nodes(bmap: BoundaryMap, rho: float, rule: QuadratureRule):
-    breaks = tuple(sorted({*bmap.breakpoints, *_axis_cap_breakpoints(rho)}))
-    return segmented_nodes(rule, breaks, bmap.layer)
+def _on_axis(maps, rho: float, rules) -> np.ndarray:
+    """u(N) + int (u - u(N)) P at rho * N for every component u of each
+    map's datum, map k on ``rules[k]``: shape (m+1, K).
 
-
-def _axis_value(bmap: BoundaryMap, rho: float, rule: QuadratureRule) -> np.ndarray:
-    """u(N) + int (u - u(N)) P for every component u of the datum."""
-    t, w = _axis_nodes(bmap, rho, rule)
-    comps = bmap.components(np.append(t, 1.0))  # the last column is u(N)
-    kernel = (1.0 - rho * rho) * kernel_profile(rho, bmap.spec.n, t)
-    return comps[:, -1] + _segment_sums((comps[:, :-1] - comps[:, -1:]) * (w * kernel), [0])[:, 0]
+    Taken so, as P has unit mass: P peaks within (1 - rho)^2 of the pole,
+    so rounded nodes miss its mass by ~1e-16 / (1 - rho)^2.  Each map is
+    integrated on its breakpoints and layer plus rho's cap grading (maps
+    with the same rule, breakpoints and layer share nodes), its data and
+    pole values come from one ``solver.datum`` call, and each integral is
+    its map's own segment sum, so a map's column is the same in any batch.
+    """
+    cap, shared, nodes = _axis_cap_breakpoints(rho), {}, []
+    for bmap, rule in zip(maps, rules):
+        key = (id(rule), bmap.breakpoints, id(bmap.layer))
+        if key not in shared:
+            shared[key] = segmented_nodes(rule, tuple(sorted({*bmap.breakpoints, *cap})), bmap.layer)
+        nodes.append(shared[key])
+    sizes, count = [t.size for t, _ in nodes], len(maps)
+    t = np.concatenate([*(t for t, _ in nodes), np.ones(count)])  # every map's nodes, then its pole
+    specs, sols = [bmap.spec for bmap in maps], [bmap.solution for bmap in maps]
+    comps = datum(specs * 2, sols * 2, t, sizes + [1] * count)
+    pole, comps = comps[:, -count:], comps[:, :-count]
+    kernel = (1.0 - rho * rho) * kernel_profile(rho, maps[0].spec.n, t[:-count])
+    w = np.concatenate([w for _, w in nodes])
+    starts = list(accumulate(sizes[:-1], initial=0))
+    return pole + _segment_sums((comps - np.repeat(pole, sizes, axis=1)) * (w * kernel), starts)
 
 
 @lru_cache(maxsize=32)

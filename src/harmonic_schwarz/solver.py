@@ -53,9 +53,9 @@ sums each segment alone, where a BLAS product's bits may depend on the
 rows beside it), the Newton step solves the row's 2x2 Hessian in closed
 form and the Armijo search is the row's own, so a row's bits and its
 evaluation count are the same in any batch.
-Negative b is never solved directly: callers flip the sign of the last
-target coordinate and negate the matching component of the map
-afterwards (``solve_batch`` solves |b| itself).
+Negative b is never solved directly: ``solve_batch`` solves |b| and
+``datum`` gives the last component the sign of b.  ``datum`` is the one
+writer of the data, for many solutions at once.
 """
 
 from __future__ import annotations
@@ -208,18 +208,14 @@ def _axis_cap_breakpoints(rho: float) -> tuple:
     geometric panels keep the panel-size to pole-distance ratio bounded,
     so each panel stays spectrally accurate.  The kernel's branch point
     lies (1-rho)^2/(2rho) past t = 1, so the grading continues below the
-    cap width until the panels resolve that scale too.  Empty while the
-    plain rule suffices.
+    cap width until the panels resolve that scale too: ``_pole_grading``
+    toward t = 1, whose first latitude (4 gaps out) lies that scale, at
+    least 1e-13, from the pole.  Empty while the plain rule suffices.
     """
     d = 1.0 - rho
     if d >= 0.05:
         return ()
-    d = max(d * d / (2.0 * rho), 1e-13)
-    pts = []
-    while d < 0.4:
-        pts.append(1.0 - d)
-        d *= 4.0
-    return tuple(sorted(pts))
+    return tuple(sorted(_pole_grading(1.0, max(d * d / (2.0 * rho), 1e-13) / 4.0)))
 
 
 def _layer_rule(spec: ProblemSpec, x: float, s: float, t_star: float | None = None):
@@ -357,27 +353,43 @@ def _moments(spec: ProblemSpec, lam, mu: float, t: np.ndarray, w: np.ndarray, la
     return np.concatenate(([float(w @ u)], -tail * value_j)), zeta * value_j
 
 
-def datum(spec: ProblemSpec, sol: LagrangeSolution, t) -> np.ndarray:
-    """The extremal datum of ``sol`` at latitudes t, shape (m+1, len(t)).
+def datum(specs, sols, t, sizes=None) -> np.ndarray:
+    """The extremal data of the solutions ``sols`` of ``specs``, which share
+    n, m and r, at latitudes t, shape (m+1, len(t)).
 
-    The unit vector of (g(t) - lam_1, -lam_2..-lam_m, mu), with mu = 0 on
-    the b = 0 branch and the last component carrying the sign of spec.b
-    (a solution of the |b| problem serves negative b); sign(t - t*) on
-    the first component when the solution has a jump point.  Its norm
-    is taken as hypot(g(t) - lam_1, y) with y from ``sol.dual_point``,
-    which |(lam_2..lam_m, mu)| equals up to rounding.
+    Solution k takes the k-th consecutive segment of t, ``sizes[k]`` long
+    (all of t when ``sizes`` is None).  Its datum is the unit vector of
+    (g(t) - lam_1, -lam_2..-lam_m, mu), with mu = 0 on the b = 0 branch and
+    the last component carrying the sign of spec.b (a solution of the |b|
+    problem serves negative b); sign(t - t*) on the first component when
+    the solution has a jump point; and the constant (a, b) when it is None.
+    Its norm is taken as hypot(g(t) - lam_1, y) with y from
+    ``sol.dual_point``, which |(lam_2..lam_m, mu)| equals up to rounding.
+    Every entry is computed on its own, so a segment's bits do not depend
+    on the others.
     """
     t = np.asarray(t, dtype=float).reshape(-1)
-    out = np.zeros((spec.m + 1, t.size))
-    if sol.jump_point is not None:
-        out[0] = np.sign(t - sol.jump_point)
+    sizes = [t.size] if sizes is None else sizes
+    out = np.zeros((specs[0].m + 1, t.size))
+    smooth, params, end = [], [], 0
+    for spec, sol, size in zip(specs, sols, sizes):
+        seg, end = slice(end, end + size), end + size
+        if sol is None:
+            out[:, seg] = np.append(spec.a, spec.b)[:, None]
+        elif sol.jump_point is not None:
+            out[0, seg] = np.sign(t[seg] - sol.jump_point)
+        else:
+            smooth.append(seg)
+            lam, mu = sol.lam.tolist(), math.copysign(sol.mu or 0.0, spec.b)
+            params.append((lam[0], sol.dual_point[1], *(-v for v in lam[1:]), mu))
+    if not smooth:
         return out
-    lam, mu = sol.lam, sol.mu or 0.0
-    d, big_r = _field(spec, lam[0], sol.dual_point[1], t)
-    inv = 1.0 / big_r
-    out[0] = d / big_r
-    out[1 : spec.m] = -lam[1:, None] * inv
-    out[spec.m] = math.copysign(mu, spec.b) * inv
+    lengths = [seg.stop - seg.start for seg in smooth]
+    on = slice(None) if len(smooth) == len(sizes) else np.r_[tuple(smooth)]
+    rows = np.repeat(np.array(params).T, lengths, axis=1)  # x, y, then the numerators of u_2..u_m, v
+    d, big_r = _field(specs[0], rows[0], rows[1], t[on])
+    out[0, on] = d / big_r
+    out[1:, on] = rows[2:] * (1.0 / big_r)
     return out
 
 
@@ -701,14 +713,14 @@ def _solve_face(spec: ProblemSpec, rule: QuadratureRule):
     return lam, t_star, breaks, residual, evaluations, steps
 
 
-def _solve(specs, rule, tol, x0=None) -> list[LagrangeSolution]:
+def _solve(specs, rule, tol) -> list[LagrangeSolution]:
     """Solutions of centers sharing n and r: b > 0 branch for |b| unless b = 0.
 
     ``tol`` None takes each branch's default.  Face centers (rho below
     1e-300) solve for t* alone; all others minimize their reduced duals in
     one ``_minimize_dual`` call, started at the face optimum x = g(t*),
-    y = rho x, or at ``x0`` = (lam_1, mu).  Raises ``SolverError`` for the
-    first center, in order, whose residual misses its tolerance.
+    y = rho x.  Raises ``SolverError`` for the first center, in order,
+    whose residual misses its tolerance.
     """
     if rule is None:
         rule = zonal_rule(specs[0].n, DEFAULT_ORDER)
@@ -717,16 +729,10 @@ def _solve(specs, rule, tol, x0=None) -> list[LagrangeSolution]:
     tols = [(1e-10 if s.b else 1e-8) if tol is None else tol for s in specs]
     dual = [k for k in range(len(specs)) if rho[k] >= _FACE_RHO]
     if dual:
-        start = np.empty((2, len(dual)))
-        for j, k in enumerate(dual):
-            if x0 is None:
-                start[0, j] = _face_level(specs[k])
-                start[1, j] = rho[k] * start[0, j]
-            else:
-                start[:, j] = x0[0], x0[1] * (rho[k] / abs(specs[k].b))
         c1, rho_d, tol_d = (np.array([v[k] for k in dual]) for v in ([s.a[0] for s in specs], rho, tols))
+        x = np.array([_face_level(specs[k]) for k in dual])
         x, y, terms, rules, evaluations, steps = _minimize_dual(
-            specs[0], rule, c1, rho_d, np.zeros(len(dual)), tol_d, *start
+            specs[0], rule, c1, rho_d, np.zeros(len(dual)), tol_d, x, rho_d * x
         )
         residual = _residual(terms, np.array([float(np.abs(perps[k]).max()) / rho[k] for k in dual]))
     solved = {k: j for j, k in enumerate(dual)}
@@ -790,26 +796,22 @@ def solve_positive_b(
     spec: ProblemSpec,
     rule: QuadratureRule | None = None,
     tol: float = 1e-10,
-    x0: tuple[float, float] | None = None,
 ) -> LagrangeSolution:
     """Solve R(lam, mu) = a, I(lam, mu) = b for b > 0.
 
     Minimizes the reduced dual in (x, y) = (lam_1, |(lam_2..lam_m, mu)|)
     by damped Newton, started at the rho = 0 optimum x = g(t*),
-    y = rho x unless ``x0`` = (lam_1, mu) overrides it, and rotates the
-    minimizer back: mu = y (b / rho), lam_j = -mu a_j / b.  The residual is
-    that of the full (m+1)-dimensional moment system, on the rule with
-    the datum's turnover layer on its own panel (``layer``), which small
-    b makes arbitrarily thin.  Centers with rho = |(a_2..a_m, b)|
-    below 1e-300 are solved on the rho = 0 face, with y = rho and the
-    breakpoint t*.
+    y = rho x, and rotates the minimizer back: mu = y (b / rho),
+    lam_j = -mu a_j / b.  The residual is that of the full (m+1)-dimensional
+    moment system, on the rule with the datum's turnover layer on its own
+    panel (``layer``), which small b makes arbitrarily thin.  Centers with
+    rho = |(a_2..a_m, b)| below 1e-300 are solved on the rho = 0 face,
+    with y = rho and the breakpoint t*.
     """
     if spec.b <= 0.0:
         raise ValueError(f"positive branch requires b > 0, got b={spec.b}")
     _check_tol(tol)
-    if x0 is not None and float(x0[1]) <= 0.0:
-        raise ValueError(f"initial mu must be positive, got {float(x0[1])}")
-    return _solve([spec], rule, tol, None if x0 is None else (float(x0[0]), float(x0[1])))[0]
+    return _solve([spec], rule, tol)[0]
 
 
 def solve_zero_b(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from harmonic_schwarz import ProblemSpec, SolverError, eval_on_axis
 from harmonic_schwarz.bounds import (
+    _rotated,
     axis_bound,
     classical_bound,
     direction_family,
@@ -16,6 +18,8 @@ from harmonic_schwarz.bounds import (
     envelope_to_json,
     region_envelope,
 )
+from harmonic_schwarz.mapping import _on_axis, boundary_map, boundary_maps, constant_map
+from harmonic_schwarz.solver import datum
 
 
 def three_dim_classical(r: float) -> float:
@@ -160,7 +164,8 @@ def _unit_rows(rng, count, dim):
 
 def _batch_family(kind):
     """(spec, directions) whose solves take one path of the batched minimizer."""
-    rng = np.random.default_rng({"plain": 11, "layered": 12, "cap": 13, "zero_b": 14}.get(kind, 0))
+    seeds = {"plain": 11, "layered": 12, "cap": 13, "zero_b": 14, "negative_b": 15}
+    rng = np.random.default_rng(seeds.get(kind, 0))
     if kind == "plain":
         spec = ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.3, -0.2]), b=0.35)
         return spec, _unit_rows(rng, 12, 3)
@@ -176,6 +181,10 @@ def _batch_family(kind):
         spec = ProblemSpec(n=3, m=2, r=0.6, a=np.array([0.3, -0.4]), b=0.0)
         theta = rng.uniform(0.0, 2.0 * np.pi, 10)
         return spec, np.vstack((np.column_stack((np.cos(theta), np.sin(theta), np.zeros(10))), _unit_rows(rng, 4, 3)))
+    if kind == "negative_b":  # near e1 every rotated center keeps b < 0
+        spec = ProblemSpec(n=3, m=2, r=0.6, a=np.array([0.2, -0.3]), b=-0.4)
+        dirs = np.array([1.0, 0.0, 0.0]) + 0.3 * rng.standard_normal((8, 3))
+        return spec, dirs / np.linalg.norm(dirs, axis=1)[:, None]
     # +-e1 with a zero tail: the rho = 0 face, next to a pole, or with a
     # tail below 1e-300 on the b > 0 branch
     e1 = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
@@ -202,6 +211,55 @@ def test_batching_does_not_change_a_direction_value(kind):
     order = np.random.default_rng(3).permutation(len(dirs))
     np.testing.assert_array_equal(region_envelope(spec, directions=dirs[order]).values, values[order])
     np.testing.assert_array_equal(region_envelope(spec, directions=dirs[::2]).values, values[::2])
+
+
+@pytest.mark.parametrize("kind", ["plain", "layered", "cap", "zero_b", "face", "face_b", "negative_b"])
+def test_axis_evaluator_batch_is_the_lone_evaluation(kind):
+    # every map's column of the batch evaluator is eval_on_axis of that map
+    # alone, in every component and in any order
+    spec, dirs = _batch_family(kind)
+    maps = [boundary_map(_rotated(spec, e)) for e in dirs]
+    if kind == "negative_b":
+        assert all(bmap.spec.b < 0.0 for bmap in maps)
+    order = np.random.default_rng(4).permutation(len(maps))
+    for rho in (0.0, spec.r, 0.97, 0.999):
+        batch = _on_axis(maps, rho, [bmap.rule for bmap in maps])
+        for k, bmap in enumerate(maps):
+            lone = eval_on_axis(bmap, rho).value
+            assert batch[:, k].tobytes() == lone.tobytes()
+        shuffled = _on_axis([maps[k] for k in order], rho, [maps[k].rule for k in order])
+        assert shuffled.tobytes() == batch[:, order].tobytes()
+
+
+def test_negative_b_map_is_the_batch_of_one():
+    spec = ProblemSpec(n=3, m=2, r=0.6, a=np.array([0.2, -0.3]), b=-0.4)
+    lone, batch = boundary_map(spec), boundary_maps([spec])[0]
+    mirror = boundary_map(ProblemSpec(spec.n, spec.m, spec.r, spec.a, -spec.b))
+    for bmap in (batch, mirror):
+        assert (bmap.branch, bmap.breakpoints) == (lone.branch, lone.breakpoints)
+        np.testing.assert_array_equal(bmap.solution.lam, lone.solution.lam)
+        assert bmap.solution.mu == lone.solution.mu > 0.0
+    t = np.linspace(-1.0, 1.0, 201)
+    np.testing.assert_array_equal(batch.components(t), lone.components(t))
+    np.testing.assert_array_equal(mirror.components(t) * [[1.0], [1.0], [-1.0]], lone.components(t))
+
+
+def test_batch_datum_is_each_lone_datum_without_warnings():
+    # jump, smooth and constant rows in one call; a jump row's latitudes
+    # include its own jump point, where the smooth formula would divide by 0
+    face, _ = _batch_family("face")
+    jump = boundary_map(face)
+    t_star = jump.solution.jump_point
+    spec = ProblemSpec(face.n, face.m, face.r, np.array([0.1, 0.2]), 0.3)
+    maps = [jump, boundary_map(spec), constant_map(spec), jump]
+    grids = [[-1.0, t_star, 1.0], np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 4), [t_star]]
+    specs, sols = [bmap.spec for bmap in maps], [bmap.solution for bmap in maps]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = datum(specs, sols, np.concatenate(grids), [len(g) for g in grids])
+        lone = [bmap.components(g) for bmap, g in zip(maps, grids)]
+    assert out.tobytes() == np.concatenate(lone, axis=1).tobytes()
+    np.testing.assert_array_equal(lone[0][0], [-1.0, 0.0, 1.0])
 
 
 def test_batches_past_one_pass_keep_every_value():

@@ -183,7 +183,10 @@ def test_constant_map_extends_to_its_own_center_value():
     spec = ProblemSpec(n=3, m=2, r=0.6, a=np.array([0.1, -0.3]), b=0.5)
     bm = constant_map(spec)
     assert constraint_residuals(bm) == (pytest.approx(0.0, abs=1e-14), pytest.approx(0.0, abs=1e-14))
-    np.testing.assert_allclose(eval_on_axis(bm, 0.7).value, [0.1, -0.3, 0.5], atol=1e-12)
+    for rho in (0.0, 0.7, 0.999):  # the axis value is exactly the center's, and so is its coarse one
+        edge = eval_on_axis(bm, rho)
+        np.testing.assert_array_equal(edge.value, [0.1, -0.3, 0.5])
+        assert edge.quadrature_error_estimate == 0.0
     np.testing.assert_allclose(
         eval_general(bm, np.array([0.2, -0.4, 0.1])).value, [0.1, -0.3, 0.5], atol=1e-12
     )

@@ -206,14 +206,6 @@ def test_solve_positive_b_small_planar_case():
     assert mass == pytest.approx(0.4, abs=1e-10)
 
 
-def test_solve_positive_b_unique_from_other_start():
-    spec = ProblemSpec(n=4, m=2, r=0.6, a=np.array([0.2, 0.3]), b=0.35)
-    base = solve_positive_b(spec)
-    other = solve_positive_b(spec, x0=(float(base.lam[0]) + 2.5, base.mu * 7.0))
-    assert abs(other.lam[0] - base.lam[0]) < 1e-9
-    assert abs(other.mu - base.mu) < 1e-9
-
-
 def test_solve_positive_b_tail_permutation_symmetry():
     a = np.array([0.2, 0.3, -0.1])
     swapped = np.array([0.2, -0.1, 0.3])
