@@ -17,6 +17,9 @@ calls=(
   "bound --n=4 --m=3 --r=0.5 --a=0.1,0.2,-0.3 --b=-0.2 --format=csv"
   "bound --n=3 --m=2 --r=0.97 --a=-0.3,0.5 --b=0.2 --format=json"
   "bound --n=2 --m=2 --r=0.97 --a=0.4,0 --b=0 --e=0.8,0,-0.6 --format=csv"
+  "bound --n=3 --m=2 --r=0.5 --a=0.3,0 --b=1e-9 --format=json"
+  "bound --n=4 --m=3 --r=0.999 --a=0.1,1e-5,0 --b=0 --format=csv"
+  "bound --n=16 --m=8 --r=0.6 --a=0.2,0.1,-0.1,0.05,0,0.1,-0.2,0.1 --b=0.3 --format=json"
   "region --n=3 --m=2 --r=0.5 --a=0.3,-0.2 --b=0.35 --directions=64 --seed=7"
   "region --n=2 --m=1 --r=0.97 --a=0.2 --b=-0.3 --directions=64"
   "extremal --n=3 --m=2 --r=0.6 --a=0.25,-0.1 --b=-0.35 --format=csv"

@@ -114,7 +114,12 @@ def heinz() -> CriterionResult:
 
 
 def moments() -> CriterionResult:
-    """Moment residuals at the solved multipliers for 50 seeded draws."""
+    """Moment residuals at the solved multipliers for 50 seeded draws.
+
+    The moments come from the solver's own integrator, on the solution's
+    segmented rule; the oracle, ``jacobian_fd_check`` and
+    ``constraint_residuals`` (through ``datum``) are the independent checks.
+    """
     t0 = time.perf_counter()
     rng = np.random.default_rng(314159)
     worst_pos = 0.0

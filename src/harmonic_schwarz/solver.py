@@ -218,7 +218,7 @@ def _axis_cap_breakpoints(rho: float) -> tuple:
     return tuple(sorted(_pole_grading(1.0, max(d * d / (2.0 * rho), 1e-13) / 4.0)))
 
 
-def _layer_rule(spec: ProblemSpec, x: float, s: float, t_star: float | None = None):
+def _layer_rule(spec: ProblemSpec, x: float, s: float, t_star: float):
     """(breakpoints, layer) of the rule integrating the dual at (x, s).
 
     The datum turns over where g crosses x, within eps = s / g'(t*) of
@@ -230,12 +230,10 @@ def _layer_rule(spec: ProblemSpec, x: float, s: float, t_star: float | None = No
     t(v) is entire, with no cap breakpoints (g's pole is at v = infinity):
     v = +-(s / x) sinh(tau), 16 Gauss points on tau-pieces at most 3 long
     (Johnston and Elliott), so the node count grows as log(1 / s).
-    ``t_star`` passes the point's entry of ``_layer_crossings``.
+    ``t_star`` is the point's entry of ``_layer_crossings``.
     """
     r, n = spec.r, spec.n
     cap = _axis_cap_breakpoints(r)
-    if t_star is None:
-        t_star = float(_layer_crossings(spec, np.array([x]), np.array([s]))[0])
     if math.isnan(t_star):
         return cap, None
     h = 0.5 * (1.0 - abs(t_star))
@@ -290,16 +288,6 @@ def _unit_pieces(pieces: int):
     return u, np.tile(gw, pieces) / (2.0 * pieces)
 
 
-def _field(spec: ProblemSpec, x, s, t, layer: Layer | None = None):
-    """d = g(t) - x and R = hypot(d, s): the datum is the unit vector of a
-    field whose first component is d and whose other components have
-    norm s.  t may end with the nodes of ``layer``, whose d is exact."""
-    d = kernel_profile(spec.r, spec.n, t) - x
-    if layer is not None:
-        d[t.size - layer.offsets.size :] = layer.offsets + (layer.level - x)
-    return d, _norm(d, s)
-
-
 def _norm(d: np.ndarray, s) -> np.ndarray:
     """hypot(d, s) as sqrt(d^2 + s^2), and as ``hypot`` itself only where
     that squares out of the normal range (next to the crossing of a tiny
@@ -312,20 +300,6 @@ def _norm(d: np.ndarray, s) -> np.ndarray:
     return big_r
 
 
-def _unit_field(spec: ProblemSpec, lam, mu: float, t: np.ndarray, layer=None):
-    """The datum, unit vector of (g(t) l - lam, mu), in the scale
-    s = |(lam_2..lam_m, mu)|: with d = g(t) - lam_1 and R = hypot(d, s)
-    returns u = d / R, sigma = s / R, 1 / R, (lam_2..lam_m) / s and mu / s.
-    Nothing divides by mu, so tiny mu neither under- nor overflows; s = 0
-    gives the sign datum."""
-    lam = np.asarray(lam, dtype=float)
-    s = math.hypot(mu, *lam[1:])
-    d, big_r = _field(spec, lam[0], s, t, layer)
-    inv = 1.0 / big_r
-    tail, zeta = (lam[1:] / s, mu / s) if s > 0.0 else (lam[1:], 0.0)
-    return d * inv, s * inv, inv, tail, zeta
-
-
 def _segment_sums(a: np.ndarray, starts) -> np.ndarray:
     """Sums of a over the segments of its last axis that begin at
     ``starts``.  ``reduceat`` sums each segment alone, in an order set by
@@ -334,23 +308,61 @@ def _segment_sums(a: np.ndarray, starts) -> np.ndarray:
     return np.add.reduceat(a, starts, axis=-1)
 
 
-def _layer_integrals(wi: np.ndarray, u, sigma, starts):
-    """P0 = int sigma^2 / R, P1 = int u sigma / R and P2 = int u^2 / R
-    from the weights wi = w / R: the second derivatives of the dual and
-    the moment Jacobian, one per segment."""
+def _field_integrals(g, w, layers, x, s):
+    """Integrals of K fields, each on its own segment: the kernel values
+    g[k] and weights w[k] at its nodes.
+
+    Field k is (d, s[k]) with d = g(t) - x[k], exact from ``layers[k]`` on
+    that layer's nodes, the last of the segment (rounded latitudes blur d
+    once s < 1e-10).  With R = hypot(d, s) and the unit vector
+    (u, sigma) = (d, s) / R it returns per segment int (R - d), int u,
+    J = int 1 / R, P0 = int sigma^2 / R, P1 = int u sigma / R and
+    P2 = int u^2 / R.  Nothing divides by s, so tiny s neither under- nor
+    overflows.
+    """
+    sizes = [g_k.size for g_k in g]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    d = np.concatenate(g) - np.repeat(x, sizes)
+    for k, layer in enumerate(layers):
+        if layer is not None:
+            d[ends[k] - layer.offsets.size : ends[k]] = layer.offsets + (layer.level - x[k])
+    s_at = np.repeat(s, sizes)
+    big_r = _norm(d, s_at)
+    inv = 1.0 / big_r
+    u = d * inv
+    w = np.concatenate(w)
+    wi = w * inv
+    abs_d = np.abs(d)  # R - d = s^2 / (R + |d|) + (|d| - d): no cancellation on either side
+    excess = s_at * (s_at / (big_r + abs_d)) + (abs_d - d)
+    sigma = s_at * inv
     w_sigma = wi * sigma
-    return (
-        _segment_sums(w_sigma * sigma, starts),
-        _segment_sums(w_sigma * u, starts),
-        _segment_sums(wi * u * u, starts),
-    )
+    sums = lambda v: _segment_sums(v, starts)  # one product alive at a time
+    return sums(w * excess), sums(w * u), sums(wi), sums(w_sigma * sigma), sums(w_sigma * u), sums(wi * u * u)
 
 
-def _moments(spec: ProblemSpec, lam, mu: float, t: np.ndarray, w: np.ndarray, layer=None):
-    # R_j = -lam_j int 1 / R factors out of one integral with I = mu int 1 / R
-    u, sigma, _, tail, zeta = _unit_field(spec, lam, mu, t, layer)
-    value_j = float(w @ sigma)
-    return np.concatenate(([float(w @ u)], -tail * value_j)), zeta * value_j
+def _row_integrals(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=None, breakpoints=None):
+    """``_field_integrals`` of the one field (g(t) l - lam, mu), as floats,
+    with lam as an array and the field's scale s = |(lam_2..lam_m, mu)|.
+
+    The field is integrated on the rule's nodes, which end with the
+    ``layer``'s when it has one; given ``breakpoints``, on
+    ``segmented_nodes(rule, breakpoints, layer)``, cut at the crossing
+    g(t) = lam_1 when there are neither breakpoints nor a layer.  Raises
+    ``ValueError`` unless lam has shape (m,) and lam and mu are finite.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (spec.m,) or not (np.all(np.isfinite(lam)) and math.isfinite(mu)):
+        raise ValueError(f"need a finite lam of shape ({spec.m},) and a finite mu, got lam={lam!r}, mu={mu}")
+    t, w = rule.nodes, rule.weights
+    if breakpoints is not None:
+        if layer is None and not breakpoints:
+            t_star = _crossing(spec, float(lam[0]))
+            breakpoints = () if t_star is None else (t_star,)
+        t, w = segmented_nodes(rule, breakpoints, layer)
+    s = math.hypot(mu, *lam[1:])
+    sums = _field_integrals([kernel_profile(spec.r, spec.n, t)], [w], [layer], lam[:1], np.array([s]))
+    return lam, s, [float(v[0]) for v in sums]
 
 
 def datum(specs, sols, t, sizes=None) -> np.ndarray:
@@ -387,7 +399,8 @@ def datum(specs, sols, t, sizes=None) -> np.ndarray:
     lengths = [seg.stop - seg.start for seg in smooth]
     on = slice(None) if len(smooth) == len(sizes) else np.r_[tuple(smooth)]
     rows = np.repeat(np.array(params).T, lengths, axis=1)  # x, y, then the numerators of u_2..u_m, v
-    d, big_r = _field(specs[0], rows[0], rows[1], t[on])
+    d = kernel_profile(specs[0].r, specs[0].n, t[on]) - rows[0]
+    big_r = _norm(d, rows[1])
     out[0, on] = d / big_r
     out[1:, on] = rows[2:] * (1.0 / big_r)
     return out
@@ -396,25 +409,26 @@ def datum(specs, sols, t, sizes=None) -> np.ndarray:
 def moments_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=None):
     """Constraint moments (R, I) of the b > 0 field at (lam, mu).
 
-    The tail components use the constant-field factorization
-    R_j = (-lam_j / mu) * I, which is exact, so only two latitude
-    integrals are evaluated, both formed without dividing by mu.  A rule
-    from ``segmented_nodes(..., layer)`` comes with its ``layer``.
+    With J = int 1 / R of ``_field_integrals``, R_1 = int u, and the
+    constant tail and mass components of the field factor out of one
+    integral: R_j = -lam_j J and I = mu J, formed without dividing by mu.
+    A rule from ``segmented_nodes(..., layer)`` comes with its ``layer``.
     """
     if not mu > 0.0:
         raise ValueError(f"need mu > 0, got mu={mu}")
-    return _moments(spec, lam, mu, rule.nodes, rule.weights, layer)
+    lam, _, (_, moment, inv_r, *_) = _row_integrals(spec, lam, mu, rule, layer)
+    return np.concatenate(([moment], -lam[1:] * inv_r)), mu * inv_r
 
 
 def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=None) -> np.ndarray:
     """Jacobian of (R, I) with respect to (lam, mu), shape (m+1, m+1).
 
-    With R = hypot(g - lam_1, s), l_j = lam_j / s and z = mu / s as in
-    ``_unit_field`` (|l|^2 + z^2 = 1), the entries reduce to the three
-    scalar integrals of ``_layer_integrals``, P0 = int s^2 / R^3,
-    P1 = int s (g - lam_1) / R^3 and P2 = int (g - lam_1)^2 / R^3, each
-    formed without dividing by mu, and on a layered rule from the exact
-    g - lam_1 of its ``layer`` (rounded latitudes blur it once s < 1e-10):
+    With R = hypot(g - lam_1, s), s = |(lam_2..lam_m, mu)|, l_j = lam_j / s
+    and z = mu / s (|l|^2 + z^2 = 1), the entries reduce to the three
+    integrals P0 = int s^2 / R^3, P1 = int s (g - lam_1) / R^3 and
+    P2 = int (g - lam_1)^2 / R^3 of ``_field_integrals``, each formed
+    without dividing by mu, and on a layered rule from the exact
+    g - lam_1 of its ``layer``:
 
         dR_1/dlam_1 = -P0,   dR_1/dlam_j = dR_j/dlam_1 = -l_j P1,
         dR_j/dlam_i = l_i l_j P0 - [i = j] (P0 + P2)      (i, j >= 2),
@@ -424,8 +438,8 @@ def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=N
     if not mu > 0.0:
         raise ValueError(f"need mu > 0, got mu={mu}")
     m = spec.m
-    u, sigma, inv, tail, zeta = _unit_field(spec, lam, mu, rule.nodes, layer)
-    p0, p1, p2 = (float(p[0]) for p in _layer_integrals(rule.weights * inv, u, sigma, [0]))
+    lam, s, (*_, p0, p1, p2) = _row_integrals(spec, lam, mu, rule, layer)
+    tail, zeta = lam[1:] / s, mu / s
     jac = np.empty((m + 1, m + 1))
     jac[0, 0] = -p0
     jac[0, 1:m] = jac[1:m, 0] = -tail * p1
@@ -448,11 +462,8 @@ def moments_Rcal(spec: ProblemSpec, lam, rule: QuadratureRule, breakpoints=None,
     that crossing, unless a solution's ``breakpoints`` and ``layer``
     supply the panel of a thin kink layer.
     """
-    lam = np.asarray(lam, dtype=float)
-    if layer is None and not breakpoints:
-        t_star = _crossing(spec, float(lam[0]))
-        breakpoints = None if t_star is None else [t_star]
-    return _moments(spec, lam, 0.0, *segmented_nodes(rule, breakpoints, layer), layer)[0]
+    lam, _, (_, moment, inv_r, *_) = _row_integrals(spec, lam, 0.0, rule, layer, breakpoints or ())
+    return np.concatenate(([moment], -lam[1:] * inv_r))
 
 
 # --------------------------------------------------------------------------
@@ -558,13 +569,11 @@ def _dual_terms(spec: ProblemSpec, rule: QuadratureRule, c1, rho, f, x, y):
     pole.  Points on the plain rule, segmented only at the
     direction-independent cap breakpoints, share its nodes and g(t),
     computed once; a point with a layer panel takes its own.  All points
-    are evaluated in one pass over their concatenated nodes, from R and
-    the datum's unit vector (d, y, f) / R, so neither cancellation across
-    the crossing nor under- or overflow at tiny y enters; each integral
-    is its point's own segment sum.  With s = |(y, f)| the Hessian is
-    [[P0, (y/s) P1], [(y/s) P1, P2 + (f/s)^2 P0]] in the integrals of
-    ``_layer_integrals``.  More than ``BATCH_ROWS`` points take several
-    passes, which changes no bit.
+    are integrated in one ``_field_integrals`` pass over their
+    concatenated nodes, each its own segment, at the field's scale
+    s = |(y, f)|; in its integrals the Hessian is
+    [[P0, (y/s) P1], [(y/s) P1, P2 + (f/s)^2 P0]].  More than
+    ``BATCH_ROWS`` points take several passes, which changes no bit.
     """
     if x.size > BATCH_ROWS:
         parts = [
@@ -591,26 +600,10 @@ def _dual_terms(spec: ProblemSpec, rule: QuadratureRule, c1, rho, f, x, y):
             rules.append((breaks, layer))
             g.append(kernel_profile(r, n, t))
             w.append(w_k)
-    sizes = [g_k.size for g_k in g]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    d = np.concatenate(g) - np.repeat(x, sizes)
-    for k, (_, layer) in enumerate(rules):
-        if layer is not None:  # exact on the layer's nodes, the last of its segment
-            d[ends[k] - layer.offsets.size : ends[k]] = layer.offsets + (layer.level - x[k])
-    s_at = np.repeat(s, sizes)
-    big_r = _norm(d, s_at)
-    inv = 1.0 / big_r
-    u = d * inv
-    w = np.concatenate(w)
-    wi = w * inv
-    abs_d = np.abs(d)  # R - d = s^2 / (R + |d|) + (|d| - d): no cancellation on either side
-    excess = s_at * (s_at / (big_r + abs_d)) + (abs_d - d)
-    s0 = _segment_sums(wi, starts)
-    p0, p1, p2 = _layer_integrals(wi, u, s_at * inv, starts)
+    excess, moment, s0, p0, p1, p2 = _field_integrals(g, w, [layer for _, layer in rules], x, s)
     cos, sin = y / s, f / s  # exactly 1 and 0 at f = 0, as y > 0
-    q = x * (c1 - 1.0) - y * rho + _segment_sums(w * excess, starts)
-    grad = c1 - _segment_sums(w * u, starts), y * s0 - rho
+    q = x * (c1 - 1.0) - y * rho + excess
+    grad = c1 - moment, y * s0 - rho
     return np.array([q, *grad, p0, cos * p1, p2 + sin * sin * p0, s0]), rules
 
 

@@ -24,7 +24,8 @@ from harmonic_schwarz import (
     zonal_rule,
 )
 from harmonic_schwarz.bounds import axis_bound, directional_bound
-from harmonic_schwarz.solver import solve_batch
+from harmonic_schwarz.oracle import jacobian_fd_check
+from harmonic_schwarz.solver import _dual_terms, solve_batch
 from harmonic_schwarz.sphere import _zonal_constant, segmented_nodes
 
 
@@ -127,6 +128,53 @@ def test_tiny_b_bounds_solve_and_meet_the_face_bound(n, r, a):
         result = axis_bound(ProblemSpec(n=n, m=len(a), r=r, a=np.array(a), b=b))
         assert result.witness.solution.layer is not None
         assert result.value == pytest.approx(face, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "lam,mu", [([0.9, 0.3], 1.2), ([0.9, 0.3, math.nan], 1.2), ([[0.9, 0.3, 0.1]], 1.2), ([0.9, 0.3, 0.1], math.inf)]
+)
+def test_moments_and_jacobian_reject_a_malformed_lam_or_mu(lam, mu):
+    # a 2-entry lam for m = 3 gave a 4x4 Jacobian with its one tail entry
+    # broadcast into two slots, and moments of 2 components; mu = inf gave NaN
+    spec = ProblemSpec(n=3, m=3, r=0.5, a=np.zeros(3), b=0.4)
+    rule = zonal_rule(3)
+    lam = np.array(lam)
+    calls = [
+        lambda: moments_RI(spec, lam, mu, rule),
+        lambda: jacobian_RI(spec, lam, mu, rule),
+        lambda: jacobian_fd_check(spec, lam, mu),
+    ]
+    if math.isfinite(mu):  # the b = 0 moments take no mu
+        calls.append(lambda: moments_Rcal(spec, lam, rule))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("r", [0.7, 0.97])
+def test_moments_and_jacobian_match_the_reduced_dual_on_its_rule(r):
+    # the full moments at the field of a reduced point (x, y) are the dual's
+    # terms: R_1 = c1 - dq/dx, |(R_2..R_m, I)| = y J and -dR_1/dlam_1 = H_xx;
+    # the last point's y is small enough for a turnover layer of its own
+    spec = ProblemSpec(n=4, m=3, r=r, a=np.zeros(3), b=0.5)
+    rule = zonal_rule(4)
+    rng = np.random.default_rng(2718)
+    x = kernel_profile(r, 4, np.append(rng.uniform(-0.9, 0.9, size=6), 0.3))
+    y = x * np.append(rng.uniform(0.01, 2.0, size=6), 1e-12)
+    c1 = rng.uniform(-0.5, 0.5, size=x.size)
+    terms, rules = _dual_terms(spec, rule, c1, np.full(x.size, 0.4), np.zeros(x.size), x, y)
+    assert rules[-1][1] is not None
+    for k in range(x.size):
+        direction = rng.normal(size=3)
+        direction *= np.sign(direction[-1]) / np.linalg.norm(direction)
+        lam, mu = np.append(x[k], -y[k] * direction[:2]), float(y[k] * direction[2])
+        t, w = segmented_nodes(rule, *rules[k])
+        own, layer = QuadratureRule(n=4, nodes=t, weights=w), rules[k][1]
+        moved, mass = moments_RI(spec, lam, mu, own, layer)
+        jac = jacobian_RI(spec, lam, mu, own, layer)
+        assert moved[0] == pytest.approx(c1[k] - terms[1, k], rel=1e-14)
+        assert math.hypot(*moved[1:], mass) == pytest.approx(y[k] * terms[6, k], rel=1e-14)
+        assert -jac[0, 0] == pytest.approx(terms[3, k], rel=1e-14)
 
 
 def test_jacobian_diagonal_signs():

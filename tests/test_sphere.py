@@ -16,7 +16,7 @@ from harmonic_schwarz import (
     zonal_integrate,
     zonal_rule,
 )
-from harmonic_schwarz.solver import ProblemSpec, _axis_cap_breakpoints, _layer_rule, kernel_profile
+from harmonic_schwarz.solver import ProblemSpec, _axis_cap_breakpoints, _layer_crossings, _layer_rule, kernel_profile
 from harmonic_schwarz.sphere import (
     _base_jacobi,
     _gauss_jacobi,
@@ -191,7 +191,7 @@ def test_layer_panel_integrates_the_turnover_in_closed_form(n, s):
     # the solver's turnover layer at t* = 0.3, r = 0.5, spliced into the rule
     spec = ProblemSpec(n=n, m=1, r=0.5, a=np.array([0.0]), b=0.0)
     x = kernel_profile(0.5, n, 0.3)
-    breaks, layer = _layer_rule(spec, x, s)
+    breaks, layer = _layer_rule(spec, x, s, float(_layer_crossings(spec, np.array([x]), np.array([s]))[0]))
     assert breaks == (layer.lo, layer.hi) == pytest.approx((-0.05, 0.65), abs=1e-15)
     rule = zonal_rule(n, 512)
     t, w = segmented_nodes(rule, breaks, layer)
@@ -236,7 +236,7 @@ def test_layer_next_to_a_cap_breakpoint_keeps_its_full_panel(offset, eps):
     t_star = cap[1] + offset
     x = kernel_profile(r, 2, t_star)
     s = eps * 2 * r * kernel_profile(r, 2, t_star) ** 2  # eps g'(t*)
-    breaks, layer = _layer_rule(spec, x, s)
+    breaks, layer = _layer_rule(spec, x, s, float(_layer_crossings(spec, np.array([x]), np.array([s]))[0]))
     assert layer.hi - t_star == pytest.approx(0.5 * (1.0 - t_star))
     assert not any(layer.lo < c < layer.hi for c in breaks)
     t, w = segmented_nodes(zonal_rule(2), breaks, layer)
