@@ -207,9 +207,10 @@ def region_envelope(
             raise ValueError(f"directions must have shape (k, {spec.m + 1})")
         if dirs.shape[0] == 0:
             raise ValueError("need at least one direction")
-        norms = np.linalg.norm(dirs, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("directions must be unit vectors")
+        bad = ~(np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= 1e-12)  # a NaN fails this test too
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"directions must be finite unit vectors, got e={dirs[k]} at row {k}")
         resolved = "explicit"
     else:
         dirs, resolved = direction_family(spec.m + 1, count, scheme, seed)

@@ -83,6 +83,8 @@ def _cmd_bound(args) -> int:
         direction = np.asarray(args.e, dtype=float)
         if direction.shape != (spec.m + 1,):
             raise ValueError(f"direction needs {spec.m + 1} components, got {direction.size}")
+        if not np.isfinite(direction).all():
+            raise ValueError(f"direction must be finite, got --e={direction}")
         norm = float(np.linalg.norm(direction))
         if norm < 1e-12:
             raise ValueError("direction must be a nonzero vector")

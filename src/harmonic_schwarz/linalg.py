@@ -142,8 +142,8 @@ def rotation_to_pole(v) -> np.ndarray:
     if v.ndim != 1 or v.size < 1:
         raise ValueError("v must be a nonempty vector")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"v must be a unit vector, got |v|={norm}")
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN fails this test too
+        raise ValueError(f"v must be a finite unit vector, got v={v}, |v|={norm}")
     d = v.size
     e0 = np.zeros(d)
     e0[0] = 1.0

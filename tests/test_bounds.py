@@ -289,6 +289,16 @@ def test_envelope_direction_validation():
         directional_bound(spec, np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_direction_is_named_in_the_error(bad):
+    # NaN passed the unit-norm comparisons, and the error blamed the center
+    spec = ProblemSpec(n=3, m=1, r=0.4, a=np.array([0.2]), b=0.3)
+    with pytest.raises(ValueError, match=r"finite unit vectors, got e=\[(nan|inf) +0\.\] at row 1"):
+        region_envelope(spec, directions=np.array([[1.0, 0.0], [bad, 0.0]]))
+    with pytest.raises(ValueError, match=r"finite unit vector, got v=\[(nan|inf) +0\.\]"):
+        directional_bound(spec, np.array([bad, 0.0]))
+
+
 def test_direction_family_grid_scheme():
     dirs, resolved = direction_family(2, 8, scheme="auto")
     assert resolved == "grid"

@@ -127,6 +127,13 @@ def test_non_finite_input_or_tolerance_exits_with_code_two(flags, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("e", ["nan,0", "0,inf", "-inf,1"])
+def test_non_finite_direction_exits_with_code_two_and_names_it(e, capsys):
+    code, _, err = run(["bound", *HEINZ, f"--e={e}"], capsys)
+    assert code == 2
+    assert err.startswith("error: direction must be finite, got --e=")
+
+
 def test_unreachable_tolerance_exits_with_code_three(capsys):
     code, _, err = run(["bound", *HEINZ, "--tol", "1e-30"], capsys)
     assert code == 3

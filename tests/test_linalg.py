@@ -153,6 +153,12 @@ def test_rotation_rejects_non_unit_input():
         rotation_to_pole(np.array([0.5, 0.0]))
 
 
+def test_rotation_rejects_a_non_finite_vector():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite unit vector"):
+            rotation_to_pole(np.array([bad, 0.0, 0.0]))
+
+
 @given(
     dim=st.integers(min_value=2, max_value=9),
     seed=st.integers(min_value=0, max_value=100_000),
