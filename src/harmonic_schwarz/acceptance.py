@@ -10,8 +10,8 @@ through :func:`run_suite`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -51,8 +51,9 @@ class CriterionResult:
 
     ``measured`` is the headline number compared against ``budget``
     (direction depends on the criterion; ``detail`` spells it out).
-    ``elapsed`` is wall time in seconds; criteria with a runtime budget
-    fold it into ``passed``.
+    A criterion returns those and ``passed``; :func:`run_suite` adds the
+    ``name`` and the wall time ``elapsed`` in seconds, and fails a
+    criterion that overruns its runtime budget in ``_RUNTIME_BUDGETS``.
     """
 
     name: str
@@ -93,34 +94,29 @@ def _random_spec(rng, zero_b_share: float = 0.2, r_lo: float = 0.1, r_hi: float 
     return ProblemSpec(n=n, m=m, r=r, a=center[:m], b=abs(float(center[m])))
 
 
-def heinz() -> CriterionResult:
+def heinz() -> dict:
     """Centered planar bound against (4/pi) arctan r at nine radii."""
-    t0 = time.perf_counter()
     worst = 0.0
     for k in range(1, 10):
         r = k / 10.0
         spec = ProblemSpec(n=2, m=1, r=r, a=np.zeros(1), b=0.0)
         err = abs(axis_bound(spec).value - (4.0 / np.pi) * np.arctan(r))
         worst = max(worst, err)
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        name="heinz",
-        passed=worst < 1e-8 and elapsed < 1.0,
+    return dict(
+        passed=worst < 1e-8,
         measured=worst,
         budget=1e-8,
         detail=f"max deviation from (4/pi) arctan r over r = 0.1..0.9: {worst:.3e}",
-        elapsed=elapsed,
     )
 
 
-def moments() -> CriterionResult:
+def moments() -> dict:
     """Moment residuals at the solved multipliers for 50 seeded draws.
 
     The moments come from the solver's own integrator, on the solution's
     segmented rule; the oracle, ``jacobian_fd_check`` and
     ``constraint_residuals`` (through ``datum``) are the independent checks.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(314159)
     worst_pos = 0.0
     worst_zero = 0.0
@@ -142,11 +138,8 @@ def moments() -> CriterionResult:
             moved = moments_Rcal(spec, sol.lam, rule, sol.breakpoints, sol.layer)
             worst_zero = max(worst_zero, float(np.abs(moved - spec.a).max()))
             n_zero += 1
-    elapsed = time.perf_counter() - t0
-    passed = worst_pos < 1e-10 and worst_zero < 1e-8 and elapsed < 30.0
-    return CriterionResult(
-        name="moments",
-        passed=passed,
+    return dict(
+        passed=worst_pos < 1e-10 and worst_zero < 1e-8,
         measured=max(worst_pos, worst_zero),
         budget=1e-8,
         detail=(
@@ -154,31 +147,26 @@ def moments() -> CriterionResult:
             f" (budget 1e-10), {worst_zero:.3e} over {n_zero} zero-b draws"
             f" (budget 1e-08)"
         ),
-        elapsed=elapsed,
     )
 
 
-def oracle(node_count: int = 2048) -> CriterionResult:
+def oracle() -> dict:
     """Closed-form bound vs the discretized convex program, 10 draws."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(271828)
     worst = 0.0
     for _ in range(10):
         spec = _random_spec(rng)
-        gap = abs(discretized_max(spec, node_count=node_count) - axis_bound(spec).value)
+        gap = abs(discretized_max(spec, node_count=2048) - axis_bound(spec).value)
         worst = max(worst, gap)
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        name="oracle",
-        passed=worst <= 5e-3 and elapsed < 120.0,
+    return dict(
+        passed=worst <= 5e-3,
         measured=worst,
         budget=5e-3,
         detail=f"max |discretized_max - axis_bound| over 10 seeded draws: {worst:.3e}",
-        elapsed=elapsed,
     )
 
 
-def jacobian() -> CriterionResult:
+def jacobian() -> dict:
     """Analytic moment Jacobian vs central differences at 20 points.
 
     Also checks the antisymmetry tying the mu-column of the mean rows to
@@ -186,7 +174,6 @@ def jacobian() -> CriterionResult:
     same profile with opposite sign, so their sum must vanish to
     rounding.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(161803)
     worst_fd = 0.0
     worst_id = 0.0
@@ -200,12 +187,10 @@ def jacobian() -> CriterionResult:
             ([float(rng.uniform(-0.5, 1.2)) * g_hi], rng.uniform(-0.8, 0.8, size=m - 1))
         )
         mu = float(rng.uniform(0.3, 3.0))
-        worst_fd = max(worst_fd, jacobian_fd_check(spec, lam, mu, step=1e-6))
+        worst_fd = max(worst_fd, jacobian_fd_check(spec, lam, mu))
         jac = jacobian_RI(spec, lam, mu, zonal_rule(n))
         worst_id = max(worst_id, float(np.abs(jac[:m, m] + jac[m, :m]).max()))
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        name="jacobian",
+    return dict(
         passed=worst_fd < 1e-5 and worst_id < 1e-12,
         measured=worst_fd,
         budget=1e-5,
@@ -213,13 +198,11 @@ def jacobian() -> CriterionResult:
             f"max relative FD mismatch {worst_fd:.3e}; "
             f"max |dR_j/dmu + dI/dlam_j| = {worst_id:.3e} (budget 1e-12)"
         ),
-        elapsed=elapsed,
     )
 
 
-def determinants() -> CriterionResult:
+def determinants() -> dict:
     """Closed-form determinant lemmas vs dense evaluation, 200 + 200."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(112358)
     worst_border = 0.0
     for _ in range(200):
@@ -246,10 +229,8 @@ def determinants() -> CriterionResult:
         corner = float(rng.normal())
         direct, ratio = cramer_ratio(mat, np.linalg.solve(mat, -rhs), rhs, row, corner)
         worst_cramer = max(worst_cramer, abs(direct - ratio) / max(abs(direct), 1.0))
-    elapsed = time.perf_counter() - t0
     worst = max(worst_border, worst_cramer)
-    return CriterionResult(
-        name="determinants",
+    return dict(
         passed=worst < 1e-9,
         measured=worst,
         budget=1e-9,
@@ -257,11 +238,10 @@ def determinants() -> CriterionResult:
             f"bordered determinant worst relative error {worst_border:.3e}; "
             f"Cramer ratio worst error {worst_cramer:.3e}; 200 draws each"
         ),
-        elapsed=elapsed,
     )
 
 
-def signs() -> CriterionResult:
+def signs() -> dict:
     """Principal-minor sign pattern of the moment Jacobian, 20 draws.
 
     Every leading principal-minor ratio of the mean-equation block must
@@ -269,7 +249,6 @@ def signs() -> CriterionResult:
     block minor positive; together these give the nonvanishing that the
     multiplier solve leans on.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(577215)
     worst_minor = -np.inf  # most positive minor ratio; must stay < 0
     worst_border = np.inf  # least positive bordered ratio; must stay > 0
@@ -292,9 +271,7 @@ def signs() -> CriterionResult:
             worst_minor = max(worst_minor, minor / prev)
             prev = minor
         worst_border = min(worst_border, float(np.linalg.det(jac)) / minors[-1])
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        name="signs",
+    return dict(
         passed=worst_minor < 0.0 and worst_border > 0.0,
         measured=worst_minor,
         budget=0.0,
@@ -302,18 +279,16 @@ def signs() -> CriterionResult:
             f"largest minor ratio {worst_minor:.3e} (must be < 0); "
             f"smallest bordered ratio {worst_border:.3e} (must be > 0)"
         ),
-        elapsed=elapsed,
     )
 
 
-def sharpness() -> CriterionResult:
+def sharpness() -> dict:
     """Witness attainment at the pole and strict interior inequality.
 
     The directional bound is recomputed at the witness map through the
     general-point evaluator (a different quadrature than the one that
     produced the bound), then compared at 100 strictly interior points.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(141421)
     worst_attain = 0.0
     min_margin = np.inf
@@ -330,9 +305,7 @@ def sharpness() -> CriterionResult:
         pts = np.stack([_ball_point(rng, spec.n, 0.999 * spec.r) for _ in range(100)])
         interior = eval_batch(witness, pts)[:, 0]
         min_margin = min(min_margin, res.value - float(interior.max()))
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        name="sharpness",
+    return dict(
         passed=worst_attain < 1e-9 and min_margin > 0.0,
         measured=worst_attain,
         budget=1e-9,
@@ -340,13 +313,11 @@ def sharpness() -> CriterionResult:
             f"worst pole attainment error {worst_attain:.3e}; "
             f"smallest interior margin {min_margin:.3e} (must be > 0)"
         ),
-        elapsed=elapsed,
     )
 
 
-def envelope() -> CriterionResult:
+def envelope() -> dict:
     """Image points of 20 admissible mixtures against the envelope."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(662607)
     min_slack = np.inf
     for i in range(5):
@@ -367,20 +338,16 @@ def envelope() -> CriterionResult:
             )
             values = mixture.evaluate_batch(pts)
             min_slack = min(min_slack, float(env.support_gaps(values).min()))
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        name="envelope",
+    return dict(
         passed=min_slack >= -1e-6,
         measured=min_slack,
         budget=-1e-6,
         detail=f"smallest half-space slack over 20 mixtures x 40 points: {min_slack:.3e}",
-        elapsed=elapsed,
     )
 
 
-def limits() -> CriterionResult:
+def limits() -> dict:
     """Growth in r, the shrink limit, and mass monotonicity in mu."""
-    t0 = time.perf_counter()
     spec_a = np.array([0.3, -0.1])
     rng = np.random.default_rng(602214)
     min_growth = np.inf
@@ -401,11 +368,8 @@ def limits() -> CriterionResult:
     path_spec = ProblemSpec(n=3, m=2, r=0.5, a=spec_a, b=0.4)
     masses = [lambda_path_point(path_spec, mu)[1] for mu in np.logspace(-2, 2, 9)]
     min_step = float(np.diff(masses).min())
-    elapsed = time.perf_counter() - t0
-    passed = min_growth >= -1e-10 and shrink < 1e-3 and min_step > 0.0
-    return CriterionResult(
-        name="limits",
-        passed=passed,
+    return dict(
+        passed=min_growth >= -1e-10 and shrink < 1e-3 and min_step > 0.0,
         measured=shrink,
         budget=1e-3,
         detail=(
@@ -413,13 +377,11 @@ def limits() -> CriterionResult:
             f"shrink gap at r = 1e-3: {shrink:.3e}; "
             f"smallest mass increment along the mu sweep: {min_step:.3e}"
         ),
-        elapsed=elapsed,
     )
 
 
-def taylor() -> CriterionResult:
+def taylor() -> dict:
     """Concavity remainder nonnegative on 1000 seeded pairs."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(173205)
     min_gap = np.inf
     for _ in range(1000):
@@ -429,25 +391,21 @@ def taylor() -> CriterionResult:
         if rng.uniform() < 0.2:
             outer /= max(np.linalg.norm(outer), 1e-300)  # push onto the sphere
         min_gap = min(min_gap, taylor_gap(outer, inner))
-    elapsed = time.perf_counter() - t0
-    return CriterionResult(
-        name="taylor",
+    return dict(
         passed=min_gap >= -1e-12,
         measured=min_gap,
         budget=-1e-12,
         detail=f"smallest remainder over 1000 pairs in dimensions 1..3: {min_gap:.3e}",
-        elapsed=elapsed,
     )
 
 
-def harmonicity() -> CriterionResult:
+def harmonicity() -> dict:
     """Mean-value residuals of the extremal extension at n = 3.
 
     A deliberately non-harmonic perturbation (|x|^2 added to the first
     component, sphere-average defect exactly s^2) must trip the detector
     at 0.45 s^2 while the honest map stays under the Monte Carlo budget.
     """
-    t0 = time.perf_counter()
     rng = np.random.default_rng(299792)
     spec = ProblemSpec(n=3, m=2, r=0.6, a=np.array([0.3, -0.1]), b=0.4)
     witness = boundary_map(spec)
@@ -466,18 +424,14 @@ def harmonicity() -> CriterionResult:
     tripped = mean_value_residual(
         perturbed, np.array([0.2, -0.1, 0.3]), s, probe_count=2048, seed=11
     )
-    elapsed = time.perf_counter() - t0
-    passed = worst < 5e-3 and tripped > 0.45 * s * s
-    return CriterionResult(
-        name="harmonicity",
-        passed=passed,
+    return dict(
+        passed=worst < 5e-3 and tripped > 0.45 * s * s,
         measured=worst,
         budget=5e-3,
         detail=(
             f"worst residual over 10 interior points: {worst:.3e}; "
             f"calibration map residual {tripped:.3e} vs detection floor {0.45 * s * s:.3e}"
         ),
-        elapsed=elapsed,
     )
 
 
@@ -497,11 +451,16 @@ _REGISTRY = {
 CRITERIA = tuple(_REGISTRY)  # canonical order
 
 
-def run_suite(names=None, node_count: int = 2048) -> list[CriterionResult]:
+# Wall-time budgets in seconds; a criterion not listed has none.
+_RUNTIME_BUDGETS = {"heinz": 1.0, "moments": 30.0, "oracle": 120.0}
+
+
+def run_suite(names=None) -> list[CriterionResult]:
     """Run the named criteria (all of them by default), in canonical order.
 
-    ``node_count`` feeds the oracle criterion only; everything else is
-    fully pinned.  Unknown names raise ValueError before any work runs.
+    Every criterion is fully pinned.  Each one is timed here, and one
+    that overruns its entry in ``_RUNTIME_BUDGETS`` fails whatever it
+    measured.  Unknown names raise ValueError before any work runs.
     """
     selected = list(CRITERIA) if names is None else list(names)
     unknown = [name for name in selected if name not in _REGISTRY]
@@ -511,8 +470,9 @@ def run_suite(names=None, node_count: int = 2048) -> list[CriterionResult]:
     for name in CRITERIA:
         if name not in selected:
             continue
-        if name == "oracle":
-            results.append(_REGISTRY[name](node_count=node_count))
-        else:
-            results.append(_REGISTRY[name]())
+        start = perf_counter()
+        fields = _REGISTRY[name]()
+        elapsed = perf_counter() - start
+        fields["passed"] = fields["passed"] and elapsed < _RUNTIME_BUDGETS.get(name, np.inf)
+        results.append(CriterionResult(name=name, elapsed=elapsed, **fields))
     return results

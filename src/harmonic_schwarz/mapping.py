@@ -288,11 +288,10 @@ def eval_batch(bmap: BoundaryMap, points: np.ndarray, rule: BiaxialRule | None =
     return out
 
 
-def eval_general(bmap: BoundaryMap, x, rule: BiaxialRule | None = None) -> MapEvaluation:
+def eval_general(bmap: BoundaryMap, x) -> MapEvaluation:
     """Poisson extension at an arbitrary interior point."""
     n = bmap.spec.n
-    if rule is None:
-        rule = _default_biaxial(n, bmap.rule.order)
+    rule = _default_biaxial(n, bmap.rule.order)
     x = np.asarray(x, dtype=float)
     value = eval_batch(bmap, x[None, :], rule)[0]
     order = rule.outer_order
@@ -303,11 +302,10 @@ def eval_general(bmap: BoundaryMap, x, rule: BiaxialRule | None = None) -> MapEv
     )
 
 
-def constraint_residuals(bmap: BoundaryMap, rule: QuadratureRule | None = None):
-    """Membership residuals (|int u - a|, |int v - b|) of the datum."""
-    if rule is None:
-        rule = bmap.rule
-    t, w = segmented_nodes(rule, bmap.breakpoints, bmap.layer)
+def constraint_residuals(bmap: BoundaryMap):
+    """Membership residuals (|int u - a|, |int v - b|) of the datum on
+    the map's own rule."""
+    t, w = segmented_nodes(bmap.rule, bmap.breakpoints, bmap.layer)
     comps = bmap.components(t)
     means = comps @ w
     res_a = float(np.linalg.norm(means[: bmap.spec.m] - bmap.spec.a))

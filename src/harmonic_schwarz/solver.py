@@ -828,7 +828,7 @@ def solve_zero_b(
     return _solve([spec], rule, tol)[0]
 
 
-def lambda_path_point(spec: ProblemSpec, mu: float, rule: QuadratureRule | None = None):
+def lambda_path_point(spec: ProblemSpec, mu: float):
     """Solve R(lam, mu) = a for lam at a prescribed mu > 0.
 
     Returns (lam, I).  Sweeping mu and recording I traces the solved
@@ -839,8 +839,7 @@ def lambda_path_point(spec: ProblemSpec, mu: float, rule: QuadratureRule | None 
     """
     if not mu > 0.0:
         raise ValueError(f"need mu > 0, got mu={mu}")
-    if rule is None:
-        rule = zonal_rule(spec.n, DEFAULT_ORDER)
+    rule = zonal_rule(spec.n, DEFAULT_ORDER)
     perp = spec.a[1:]
     rho = math.hypot(*perp)
     x = _face_level(spec)

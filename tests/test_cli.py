@@ -7,6 +7,7 @@ subprocess to cover the module entry point and file output.
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,21 @@ def test_non_finite_direction_exits_with_code_two_and_names_it(e, capsys):
     code, _, err = run(["bound", *HEINZ, f"--e={e}"], capsys)
     assert code == 2
     assert err.startswith("error: direction must be finite, got --e=")
+
+
+@pytest.mark.parametrize("e, same_as", [("1e308,1e308", "1,1"), ("1e-200,0", "1,0"), ("1e-160,0", "1,0"), ("1e-13,0", "1,0")])
+def test_direction_beyond_the_squared_range_normalizes_like_its_scaled_copy(e, same_as, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning fails the test
+        code, out, err = run(["bound", *HEINZ, f"--e={e}"], capsys)
+    assert (code, err) == (0, "")
+    assert out == run(["bound", *HEINZ, f"--e={same_as}"], capsys)[1]
+
+
+def test_zero_direction_exits_with_code_two(capsys):
+    code, _, err = run(["bound", *HEINZ, "--e=0,0"], capsys)
+    assert code == 2
+    assert "nonzero" in err
 
 
 def test_unreachable_tolerance_exits_with_code_three(capsys):

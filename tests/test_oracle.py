@@ -68,7 +68,7 @@ def test_zonal_search_certifies_its_gap():
 
 def test_sphere_search_approaches_the_axis_bound():
     spec = ProblemSpec(3, 1, 0.3, (0.25,), 0.35)
-    value = discretized_max_sphere(spec, node_count=4000, seed=0)
+    value = discretized_max_sphere(spec, node_count=4000)
     expected = reference_bound(3, 1, 0.3, (0.25,), 0.35)
     assert value == pytest.approx(expected, rel=2e-2)
 
@@ -211,11 +211,3 @@ def test_moment_jacobian_matches_finite_differences():
     spec = ProblemSpec(3, 2, 0.5, (0.2, -0.1), 0.4)
     gap = jacobian_fd_check(spec, np.array([0.6, 0.1]), 1.3)
     assert gap < 1e-8
-
-
-def test_finite_difference_step_is_clamped():
-    spec = ProblemSpec(3, 2, 0.5, (0.2, -0.1), 0.4)
-    with pytest.raises(ValueError, match="step"):
-        jacobian_fd_check(spec, np.array([0.6, 0.1]), 1.3, step=1e-9)
-    with pytest.raises(ValueError, match="step"):
-        jacobian_fd_check(spec, np.array([0.6, 0.1]), 1.3, step=1e-3)
