@@ -25,6 +25,7 @@ calls=(
   "extremal --n=3 --m=2 --r=0.6 --a=0.25,-0.1 --b=-0.35 --format=csv"
   "extremal --n=2 --m=1 --r=0.5 --a=0.3 --b=0 --format=json"
   "classical --n=3 --r=0.97"
+  "verify --suite moments,jacobian,signs"
 )
 outdir=$(mktemp -d)
 trap 'rm -rf "$outdir"' EXIT

@@ -57,7 +57,6 @@ from .solver import (
     kernel_profile,
     lambda_path_point,
     moments_RI,
-    moments_Rcal,
     solve_batch,
     solve_positive_b,
     solve_zero_b,
@@ -121,7 +120,6 @@ __all__ = [
     "lambda_path_point",
     "mean_value_residual",
     "moments_RI",
-    "moments_Rcal",
     "poisson_kernel",
     "region_envelope",
     "rotation_to_pole",

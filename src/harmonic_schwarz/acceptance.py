@@ -36,11 +36,9 @@ from .solver import (
     kernel_profile,
     lambda_path_point,
     moments_RI,
-    moments_Rcal,
-    solve_positive_b,
-    solve_zero_b,
+    solve_batch,
 )
-from .sphere import QuadratureRule, segmented_nodes, zonal_rule
+from .sphere import zonal_rule
 
 __all__ = ["CriterionResult", "CRITERIA", "run_suite"]
 
@@ -113,38 +111,27 @@ def heinz() -> dict:
 def moments() -> dict:
     """Moment residuals at the solved multipliers for 50 seeded draws.
 
-    The moments come from the solver's own integrator, on the solution's
-    segmented rule; the oracle, ``jacobian_fd_check`` and
+    The moments of both branches come from the solver's own integrator,
+    ``moments_RI`` at mu = 0 on the b = 0 branch, on the solution's rule,
+    breakpoints and layer; the oracle, ``jacobian_fd_check`` and
     ``constraint_residuals`` (through ``datum``) are the independent checks.
     """
     rng = np.random.default_rng(314159)
-    worst_pos = 0.0
-    worst_zero = 0.0
-    n_pos = n_zero = 0
+    positive, zero = [], []
     for _ in range(50):
         spec = _random_spec(rng)
         rule = zonal_rule(spec.n)
-        if spec.b > 0.0:
-            sol = solve_positive_b(spec, rule)
-            # the solution's own rule, on which a thin layer is visible
-            t, w = segmented_nodes(rule, sol.breakpoints, sol.layer)
-            check = QuadratureRule(n=spec.n, nodes=t, weights=w)
-            moved, mass = moments_RI(spec, sol.lam, sol.mu, check, sol.layer)
-            res = max(float(np.abs(moved - spec.a).max()), abs(mass - spec.b))
-            worst_pos = max(worst_pos, res)
-            n_pos += 1
-        else:
-            sol = solve_zero_b(spec, rule)
-            moved = moments_Rcal(spec, sol.lam, rule, sol.breakpoints, sol.layer)
-            worst_zero = max(worst_zero, float(np.abs(moved - spec.a).max()))
-            n_zero += 1
+        sol = solve_batch([spec], rule)[0]
+        moved, mass = moments_RI(spec, sol.lam, sol.mu or 0.0, rule, sol.breakpoints, sol.layer)
+        (positive if spec.b > 0.0 else zero).append(max(float(np.abs(moved - spec.a).max()), abs(mass - spec.b)))
+    worst_pos, worst_zero = max(positive, default=0.0), max(zero, default=0.0)
     return dict(
         passed=worst_pos < 1e-10 and worst_zero < 1e-8,
         measured=max(worst_pos, worst_zero),
         budget=1e-8,
         detail=(
-            f"worst residual {worst_pos:.3e} over {n_pos} positive-b draws"
-            f" (budget 1e-10), {worst_zero:.3e} over {n_zero} zero-b draws"
+            f"worst residual {worst_pos:.3e} over {len(positive)} positive-b draws"
+            f" (budget 1e-10), {worst_zero:.3e} over {len(zero)} zero-b draws"
             f" (budget 1e-08)"
         ),
     )

@@ -41,7 +41,6 @@ from .solver import (
     Layer,
     ProblemSpec,
     _axis_cap_breakpoints,
-    _crossing,
     _segment_sums,
     datum,
     kernel_profile,
@@ -116,21 +115,13 @@ def boundary_map(
 def boundary_maps(specs, rule: QuadratureRule | None = None, tol: float | None = None) -> list:
     """The boundary maps of specs that share n and r, with all their moment
     systems solved in one batch (``solver.solve_batch``, which also solves
-    a negative b as |b|)."""
+    a negative b as |b|); each map takes its solution's breakpoints and
+    layer.  No specs give no maps."""
     specs = list(specs)
-    if rule is None:
+    if rule is None and specs:
         rule = zonal_rule(specs[0].n, DEFAULT_ORDER)
-    return [_wrap(spec, sol, rule) for spec, sol in zip(specs, solve_batch(specs, rule, tol))]
-
-
-def _wrap(spec: ProblemSpec, sol: LagrangeSolution, rule: QuadratureRule) -> BoundaryMap:
-    breaks = sol.breakpoints
-    if sol.branch == "zero_b" and sol.jump_point is None and sol.layer is None:
-        # a smooth datum, but curvature concentrates where u_1 crosses zero
-        t_star = _crossing(spec, float(sol.lam[0]))
-        if t_star is not None:
-            breaks = tuple(sorted({*breaks, t_star}))
-    return BoundaryMap(spec, sol.branch, sol, breaks, rule, sol.layer)
+    sols = solve_batch(specs, rule, tol)
+    return [BoundaryMap(spec, sol.branch, sol, sol.breakpoints, rule, sol.layer) for spec, sol in zip(specs, sols)]
 
 
 def constant_map(spec: ProblemSpec, rule: QuadratureRule | None = None) -> BoundaryMap:
@@ -168,12 +159,13 @@ def axis_values(maps, rho: float) -> np.ndarray:
     Bit for bit ``eval_on_axis(bmap, rho).value[0]``, without the error
     estimate: the first row of ``_on_axis`` at each map's own rule, for
     maps that share n, m and r (an envelope's rotated problems do),
-    ``solver.BATCH_ROWS`` maps a pass.
+    ``solver.BATCH_ROWS`` maps a pass; empty for no maps.
     """
     _check_radius(rho)
-    shape = (maps[0].spec.n, maps[0].spec.m, maps[0].spec.r)
-    if any((bmap.spec.n, bmap.spec.m, bmap.spec.r) != shape for bmap in maps):
+    if len({(bmap.spec.n, bmap.spec.m, bmap.spec.r) for bmap in maps}) > 1:
         raise ValueError("axis_values needs maps that share n, m and r")
+    if not maps:
+        return np.zeros(0)
     passes = [maps[k : k + BATCH_ROWS] for k in range(0, len(maps), BATCH_ROWS)]
     return np.concatenate([_on_axis(part, rho, [bmap.rule for bmap in part])[0] for part in passes])
 

@@ -362,19 +362,22 @@ def mean_value_residual(evaluator, x, s: float, probe_count: int = 2048, seed: i
     """Deviation of a sphere average from the center value.
 
     ``evaluator`` maps an array of points, shape (B, n), to values of
-    shape (B, d).  Probes come in antithetic pairs, which cancels the
-    first-order directional term exactly; for a harmonic evaluator the
-    residual is then quadratic-order Monte Carlo noise, while a
-    perturbation by |y|^2 shifts the sphere average by s^2 exactly.
+    shape (B, d).  Probes come in probe_count / 2 antithetic pairs (an
+    even count >= 2), which cancels the first-order directional term
+    exactly; for a harmonic evaluator the residual is then quadratic-order
+    Monte Carlo noise, while a perturbation by |y|^2 shifts the sphere
+    average by s^2 exactly.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     if not s > 0.0:
         raise ValueError(f"probe radius must be positive, got {s}")
+    if probe_count < 2 or probe_count % 2:
+        raise ValueError(f"need an even probe_count >= 2, got {probe_count}")
     if float(np.linalg.norm(x)) + s >= 1.0:
         raise ValueError("probe sphere must stay inside the unit ball")
-    half = sample_sphere(n, (probe_count + 1) // 2, seed)
-    probes = np.concatenate((half, -half), axis=0)[:probe_count]
+    half = sample_sphere(n, probe_count // 2, seed)
+    probes = np.concatenate((half, -half), axis=0)
     center = np.asarray(evaluator(x[None, :]))[0]
     values = np.asarray(evaluator(x[None, :] + s * probes))
     return float(np.linalg.norm(values.mean(axis=0) - center))

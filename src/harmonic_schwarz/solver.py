@@ -40,7 +40,9 @@ rho makes the datum turn over inside a thin latitude layer around the
 crossing g(t) = x that no fixed Gauss rule resolves, so every iterate
 integrates that layer on one panel of its own, sinh-mapped in the log
 of the kernel level (``Layer``), and, once r > 0.95, grades the rest
-toward the kernel's pole (1 - r)^2 / (2r) beyond t = 1.
+toward the kernel's pole (1 - r)^2 / (2r) beyond t = 1.  A solution
+carries its datum's breakpoints and layer, from which ``moments_RI`` and
+``jacobian_RI`` place their own nodes.
 
 The minimizer takes K such duals at once, for centers that share n and
 r (``solve_batch``; an envelope's rotated centers are one batch, and
@@ -89,7 +91,6 @@ __all__ = [
     "datum",
     "moments_RI",
     "jacobian_RI",
-    "moments_Rcal",
     "solve_batch",
     "solve_positive_b",
     "solve_zero_b",
@@ -155,8 +156,9 @@ class LagrangeSolution:
     ``iterations`` counts evaluations of the reduced dual, or of the cap
     mass on that face; ``newton_steps`` counts the Newton steps accepted
     among them (in t* on the face).  ``breakpoints`` and ``layer`` are
-    the panel edges and turnover layer of the rule the solve ended on
-    (empty, None if not needed); the datum's quadratures take both:
+    the datum's (empty, None if not needed): those of the rule the solve
+    ended on, plus the crossing g(t) = lam_1 of a smooth b = 0 datum
+    without a layer.  Its quadratures take both:
     ``segmented_nodes(rule, breakpoints, layer)``.
     """
 
@@ -187,9 +189,9 @@ def kernel_profile(r: float, n: int, t):
 
 
 def kernel_inverse(r: float, n: int, y: float) -> float:
-    """Latitude where the axis kernel attains y (strictly increasing in t)."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"need 0 < r < 1, got r={r}")
+    """Latitude where the axis kernel attains y > 0 (strictly increasing in t)."""
+    if not (0.0 < r < 1.0 and y > 0.0):
+        raise ValueError(f"need 0 < r < 1 and y > 0, got r={r}, y={y}")
     return (1.0 + r * r - y ** (-2.0 / n)) / (2.0 * r)
 
 
@@ -230,12 +232,10 @@ def _layer_rule(spec: ProblemSpec, x: float, s: float, t_star: float):
     t(v) is entire, with no cap breakpoints (g's pole is at v = infinity):
     v = +-(s / x) sinh(tau), 16 Gauss points on tau-pieces at most 3 long
     (Johnston and Elliott), so the node count grows as log(1 / s).
-    ``t_star`` is the point's entry of ``_layer_crossings``.
+    ``t_star`` is the point's entry of ``_layer_crossings``, not NaN.
     """
     r, n = spec.r, spec.n
     cap = _axis_cap_breakpoints(r)
-    if math.isnan(t_star):
-        return cap, None
     h = 0.5 * (1.0 - abs(t_star))
     grade = _pole_grading(t_star, 3.0 * h)  # from the panel's far edge on
     if h < 5e-15:  # t* within rounding of the pole: no panel fits between them
@@ -341,25 +341,22 @@ def _field_integrals(g, w, layers, x, s):
     return sums(w * excess), sums(w * u), sums(wi), sums(w_sigma * sigma), sums(w_sigma * u), sums(wi * u * u)
 
 
-def _row_integrals(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=None, breakpoints=None):
+def _row_integrals(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, breakpoints=(), layer=None):
     """``_field_integrals`` of the one field (g(t) l - lam, mu), as floats,
     with lam as an array and the field's scale s = |(lam_2..lam_m, mu)|.
 
-    The field is integrated on the rule's nodes, which end with the
-    ``layer``'s when it has one; given ``breakpoints``, on
-    ``segmented_nodes(rule, breakpoints, layer)``, cut at the crossing
-    g(t) = lam_1 when there are neither breakpoints nor a layer.  Raises
-    ``ValueError`` unless lam has shape (m,) and lam and mu are finite.
+    The field is integrated on ``segmented_nodes(rule, breakpoints,
+    layer)``, cut at the crossing g(t) = lam_1 when mu = 0 and there are
+    neither breakpoints nor a layer.  Raises ``ValueError`` unless lam has
+    shape (m,) and lam and mu are finite.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (spec.m,) or not (np.all(np.isfinite(lam)) and math.isfinite(mu)):
         raise ValueError(f"need a finite lam of shape ({spec.m},) and a finite mu, got lam={lam!r}, mu={mu}")
-    t, w = rule.nodes, rule.weights
-    if breakpoints is not None:
-        if layer is None and not breakpoints:
-            t_star = _crossing(spec, float(lam[0]))
-            breakpoints = () if t_star is None else (t_star,)
-        t, w = segmented_nodes(rule, breakpoints, layer)
+    if mu == 0.0 and layer is None and not breakpoints:
+        t_star = _crossing(spec, float(lam[0]))
+        breakpoints = () if t_star is None else (t_star,)
+    t, w = segmented_nodes(rule, breakpoints, layer)
     s = math.hypot(mu, *lam[1:])
     sums = _field_integrals([kernel_profile(spec.r, spec.n, t)], [w], [layer], lam[:1], np.array([s]))
     return lam, s, [float(v[0]) for v in sums]
@@ -406,29 +403,32 @@ def datum(specs, sols, t, sizes=None) -> np.ndarray:
     return out
 
 
-def moments_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=None):
-    """Constraint moments (R, I) of the b > 0 field at (lam, mu).
+def moments_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, breakpoints=(), layer=None):
+    """Constraint moments (R, I) of the field at (lam, mu), mu >= 0.
 
     With J = int 1 / R of ``_field_integrals``, R_1 = int u, and the
     constant tail and mass components of the field factor out of one
     integral: R_j = -lam_j J and I = mu J, formed without dividing by mu.
-    A rule from ``segmented_nodes(..., layer)`` comes with its ``layer``.
+    The nodes are ``segmented_nodes(rule, breakpoints, layer)``, a
+    solution's ``(rule, sol.breakpoints, sol.layer)``.  At mu = 0, the
+    b = 0 branch, I = 0 and the datum jumps or bends where g(t) crosses
+    lam_1, where the rule is cut when no breakpoints or layer are given.
     """
-    if not mu > 0.0:
-        raise ValueError(f"need mu > 0, got mu={mu}")
-    lam, _, (_, moment, inv_r, *_) = _row_integrals(spec, lam, mu, rule, layer)
+    if not mu >= 0.0:
+        raise ValueError(f"need mu >= 0, got mu={mu}")
+    lam, _, (_, moment, inv_r, *_) = _row_integrals(spec, lam, mu, rule, breakpoints, layer)
     return np.concatenate(([moment], -lam[1:] * inv_r)), mu * inv_r
 
 
-def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=None) -> np.ndarray:
-    """Jacobian of (R, I) with respect to (lam, mu), shape (m+1, m+1).
+def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, breakpoints=(), layer=None) -> np.ndarray:
+    """Jacobian of (R, I) with respect to (lam, mu > 0), shape (m+1, m+1).
 
     With R = hypot(g - lam_1, s), s = |(lam_2..lam_m, mu)|, l_j = lam_j / s
     and z = mu / s (|l|^2 + z^2 = 1), the entries reduce to the three
     integrals P0 = int s^2 / R^3, P1 = int s (g - lam_1) / R^3 and
     P2 = int (g - lam_1)^2 / R^3 of ``_field_integrals``, each formed
-    without dividing by mu, and on a layered rule from the exact
-    g - lam_1 of its ``layer``:
+    without dividing by mu, on the nodes ``moments_RI`` takes and, in a
+    ``layer``, from its exact g - lam_1:
 
         dR_1/dlam_1 = -P0,   dR_1/dlam_j = dR_j/dlam_1 = -l_j P1,
         dR_j/dlam_i = l_i l_j P0 - [i = j] (P0 + P2)      (i, j >= 2),
@@ -438,7 +438,7 @@ def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=N
     if not mu > 0.0:
         raise ValueError(f"need mu > 0, got mu={mu}")
     m = spec.m
-    lam, s, (*_, p0, p1, p2) = _row_integrals(spec, lam, mu, rule, layer)
+    lam, s, (*_, p0, p1, p2) = _row_integrals(spec, lam, mu, rule, breakpoints, layer)
     tail, zeta = lam[1:] / s, mu / s
     jac = np.empty((m + 1, m + 1))
     jac[0, 0] = -p0
@@ -450,20 +450,6 @@ def jacobian_RI(spec: ProblemSpec, lam, mu: float, rule: QuadratureRule, layer=N
     jac[m, 1:m] = -tail * zeta * p0
     jac[m, m] = p2 + float(tail @ tail) * p0
     return jac
-
-
-def moments_Rcal(spec: ProblemSpec, lam, rule: QuadratureRule, breakpoints=None, layer=None):
-    """Constraint moments Rcal of the b = 0 field at lam.
-
-    The datum, the unit vector of g(t) l - lam, is the mu = 0 end of the
-    b > 0 one.  With a vanishing tail it is a latitude sign function
-    jumping where g(t) crosses lam_1; otherwise it bends there, the
-    sharper the smaller the tail.  Either way the rule is segmented at
-    that crossing, unless a solution's ``breakpoints`` and ``layer``
-    supply the panel of a thin kink layer.
-    """
-    lam, _, (_, moment, inv_r, *_) = _row_integrals(spec, lam, 0.0, rule, layer, breakpoints or ())
-    return np.concatenate(([moment], -lam[1:] * inv_r))
 
 
 # --------------------------------------------------------------------------
@@ -702,7 +688,7 @@ def _solve_face(spec: ProblemSpec, rule: QuadratureRule):
     lam = np.zeros(spec.m)
     lam[0] = kernel_profile(spec.r, spec.n, t_star)
     breaks = tuple(sorted({t_star, *_pole_grading(t_star, 1.0 - abs(t_star))}))
-    residual = max(float(np.abs(moments_Rcal(spec, lam, rule, breaks) - spec.a).max()), abs(spec.b))
+    residual = max(float(np.abs(moments_RI(spec, lam, 0.0, rule, breaks)[0] - spec.a).max()), abs(spec.b))
     return lam, t_star, breaks, residual, evaluations, steps
 
 
@@ -747,6 +733,9 @@ def _solve(specs, rule, tol) -> list[LagrangeSolution]:
             mu, warnings = None, _zero_b_warnings(spec, rho[k], j is not None)
             if j is not None:
                 lam = np.concatenate(([point[0]], -point[1] * (spec.a[1:] / rho[k])))
+                # a smooth datum, but curvature concentrates where u_1 crosses zero
+                if layer is None and (t_cross := _crossing(spec, point[0])) is not None:
+                    breaks = tuple(sorted({*breaks, t_cross}))
         out.append(
             LagrangeSolution(
                 branch="positive_b" if b else "zero_b",

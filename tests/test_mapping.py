@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonic_schwarz import ProblemSpec, axis_bound, boundary_map, mapping, sphere
+from harmonic_schwarz import ProblemSpec, axis_bound, boundary_map, kernel_inverse, mapping, sphere
 from harmonic_schwarz.mapping import (
     BoundaryMap,
+    axis_values,
+    boundary_maps,
     constant_map,
     constraint_residuals,
     eval_batch,
@@ -18,6 +20,7 @@ from harmonic_schwarz.mapping import (
     eval_on_axis,
 )
 from harmonic_schwarz.oracle import mean_value_residual
+from harmonic_schwarz.solver import _axis_cap_breakpoints
 from harmonic_schwarz.sphere import segmented_nodes, segmented_pairs
 
 
@@ -305,6 +308,24 @@ def test_branch_continuity_small_b_to_zero(n, a):
         for rho in np.linspace(0.0, 0.3, 7)
     )
     assert gap < 1e-3
+
+
+@pytest.mark.parametrize("r", [0.4, 0.97])
+def test_a_smooth_zero_b_solution_carries_its_crossing(r):
+    # the datum bends where u_1 crosses zero; the solution owns that
+    # breakpoint and the map takes the solution's, beside r's cap grading
+    bm = boundary_map(ProblemSpec(n=2, m=2, r=r, a=np.array([0.4, 0.3]), b=0.0))
+    sol = bm.solution
+    assert sol.jump_point is None and sol.layer is None
+    t_star = kernel_inverse(r, 2, sol.lam[0])
+    assert sol.breakpoints == bm.breakpoints == tuple(sorted({*_axis_cap_breakpoints(r), t_star}))
+
+
+def test_empty_batches_give_empty_results():
+    assert boundary_maps([]) == []
+    assert axis_values([], 0.5).shape == (0,)
+    with pytest.raises(ValueError, match="rho"):
+        axis_values([], 1.0)
 
 
 def test_small_b_extension_carries_the_layer_partition():

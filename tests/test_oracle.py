@@ -204,6 +204,15 @@ def test_mean_value_probe_geometry_is_validated():
         mean_value_residual(evaluator, np.array([0.1, 0.0, 0.0]), -0.1)
 
 
+@pytest.mark.parametrize("count", [-2, 0, 1, 3, 257])
+def test_mean_value_probes_come_in_antithetic_pairs(count):
+    # one probe without its pair read a residual of 0.1 for the identity map
+    identity = lambda pts: pts
+    with pytest.raises(ValueError, match="probe_count"):
+        mean_value_residual(identity, np.zeros(3), 0.1, probe_count=count)
+    assert mean_value_residual(identity, np.zeros(3), 0.1, probe_count=2) == 0.0
+
+
 # -- finite-difference audit ---------------------------------------------
 
 

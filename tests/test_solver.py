@@ -14,10 +14,8 @@ from harmonic_schwarz import (
     jacobian_RI,
     kernel_inverse,
     kernel_profile,
-    QuadratureRule,
     lambda_path_point,
     moments_RI,
-    moments_Rcal,
     solve_positive_b,
     solve_zero_b,
     zonal_integrate,
@@ -25,7 +23,7 @@ from harmonic_schwarz import (
 )
 from harmonic_schwarz.bounds import axis_bound, directional_bound
 from harmonic_schwarz.oracle import jacobian_fd_check
-from harmonic_schwarz.solver import _dual_terms, solve_batch
+from harmonic_schwarz.solver import _dual_terms, _field_integrals, solve_batch
 from harmonic_schwarz.sphere import _zonal_constant, segmented_nodes
 
 
@@ -64,6 +62,13 @@ def test_kernel_inverse_round_trip():
         assert kernel_inverse(0.6, 5, y) == pytest.approx(t, abs=1e-12)
 
 
+@pytest.mark.parametrize("y", [-1.0, 0.0, math.nan])
+def test_kernel_inverse_rejects_a_level_that_is_not_positive(y):
+    # -1 gave the complex latitude (1.75+0.866j) and 0 a ZeroDivisionError
+    with pytest.raises(ValueError, match="y > 0"):
+        kernel_inverse(0.5, 3, y)
+
+
 def test_moments_limits_large_mu():
     spec = ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.1, 0.1]), b=0.3)
     rule = zonal_rule(3)
@@ -91,12 +96,55 @@ def test_moments_at_a_tiny_mu_stay_finite_and_correct(b):
     # mu ~ 5e-161 and below: A = (g l - lam) / mu would overflow when squared
     spec = ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.3, 0.0]), b=b)
     sol = solve_positive_b(spec)
-    t, w = segmented_nodes(zonal_rule(3), sol.breakpoints, sol.layer)
-    rule = QuadratureRule(n=3, nodes=t, weights=w)
-    moved, mass = moments_RI(spec, sol.lam, sol.mu, rule, sol.layer)
+    own = (zonal_rule(3), sol.breakpoints, sol.layer)
+    moved, mass = moments_RI(spec, sol.lam, sol.mu, *own)
     np.testing.assert_allclose(moved, spec.a, atol=1e-10)
     assert 0.0 < mass < 1e-10
-    assert np.all(np.isfinite(jacobian_RI(spec, sol.lam, sol.mu, rule, sol.layer)))
+    assert np.all(np.isfinite(jacobian_RI(spec, sol.lam, sol.mu, *own)))
+
+
+def test_moments_and_jacobian_place_a_layer_on_its_own_nodes():
+    # a layer passed with the plain rule wrote its offsets over the rule's
+    # last nodes: R_1 = -0.404 and I = 0.0385 instead of 0.3 and 1e-9
+    spec = ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.3, 0.0]), b=1e-9)
+    sol = solve_positive_b(spec)
+    rule = zonal_rule(3)
+    moved, mass = moments_RI(spec, sol.lam, sol.mu, rule, layer=sol.layer)
+    np.testing.assert_allclose(moved, spec.a, atol=1e-10)
+    assert mass == pytest.approx(spec.b, abs=1e-10)
+    jac = jacobian_RI(spec, sol.lam, sol.mu, rule, layer=sol.layer)
+    own = jacobian_RI(spec, sol.lam, sol.mu, rule, sol.breakpoints, sol.layer)
+    np.testing.assert_allclose(jac, own, rtol=1e-10, atol=1e-10 * np.abs(own).max())
+    # P0 = -dR_1/dlam_1 tends to 2 c_3 / g'(t*) as the layer thins
+    t_star = kernel_inverse(0.5, 3, sol.lam[0])
+    assert -jac[0, 0] == pytest.approx(2.0 * _zonal_constant(3) / (1.5 * (1.25 - t_star) ** -2.5), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.3, 0.0]), b=1e-9),
+        ProblemSpec(n=4, m=2, r=0.97, a=np.array([0.2, -0.3]), b=0.4),
+        ProblemSpec(n=3, m=2, r=0.4, a=np.array([0.2, 0.3]), b=0.0),
+    ],
+    ids=["layer", "cap", "zero_b"],
+)
+def test_moments_and_jacobian_on_a_solutions_rule_are_its_own_integrals(spec):
+    # given (rule, breakpoints, layer) they are the field's integrals on
+    # segmented_nodes(rule, breakpoints, layer), bit for bit
+    sol = solve_batch([spec])[0]
+    rule, mu = zonal_rule(spec.n), sol.mu or 0.0
+    t, w = segmented_nodes(rule, sol.breakpoints, sol.layer)
+    s = np.array([math.hypot(mu, *sol.lam[1:])])
+    _, moment, inv_r, p0, *_ = _field_integrals([kernel_profile(spec.r, spec.n, t)], [w], [sol.layer], sol.lam[:1], s)
+    moved, mass = moments_RI(spec, sol.lam, mu, rule, sol.breakpoints, sol.layer)
+    assert moved.tobytes() == np.append(moment, -sol.lam[1:] * inv_r).tobytes()
+    assert mass == mu * inv_r[0]
+    if sol.mu is None:
+        # the crossing the b = 0 moments cut at is the solution's breakpoint
+        assert moments_RI(spec, sol.lam, 0.0, rule)[0].tobytes() == moved.tobytes()
+    else:
+        assert -jacobian_RI(spec, sol.lam, mu, rule, sol.breakpoints, sol.layer)[0, 0] == p0[0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -108,8 +156,7 @@ def test_jacobian_at_a_tiny_multiplier_scale_meets_its_limit(n, b):
     spec = ProblemSpec(n=n, m=2, r=0.5, a=np.array([0.3, 0.0]), b=b)
     sol = solve_positive_b(spec)
     assert sol.layer is not None and sol.layer.level == sol.lam[0]
-    t, w = segmented_nodes(zonal_rule(n), sol.breakpoints, sol.layer)
-    jac = jacobian_RI(spec, sol.lam, sol.mu, QuadratureRule(n=n, nodes=t, weights=w), sol.layer)
+    jac = jacobian_RI(spec, sol.lam, sol.mu, zonal_rule(n), sol.breakpoints, sol.layer)
     t_star = kernel_inverse(0.5, n, sol.lam[0])
     density = 2.0 * _zonal_constant(n) * (1.0 - t_star * t_star) ** (0.5 * (n - 3))
     slope = n * 0.5 * (1.25 - t_star) ** (-0.5 * n - 1.0)
@@ -144,8 +191,8 @@ def test_moments_and_jacobian_reject_a_malformed_lam_or_mu(lam, mu):
         lambda: jacobian_RI(spec, lam, mu, rule),
         lambda: jacobian_fd_check(spec, lam, mu),
     ]
-    if math.isfinite(mu):  # the b = 0 moments take no mu
-        calls.append(lambda: moments_Rcal(spec, lam, rule))
+    if math.isfinite(mu):  # the b = 0 moments, at mu = 0
+        calls.append(lambda: moments_RI(spec, lam, 0.0, rule))
     for call in calls:
         with pytest.raises(ValueError):
             call()
@@ -168,10 +215,8 @@ def test_moments_and_jacobian_match_the_reduced_dual_on_its_rule(r):
         direction = rng.normal(size=3)
         direction *= np.sign(direction[-1]) / np.linalg.norm(direction)
         lam, mu = np.append(x[k], -y[k] * direction[:2]), float(y[k] * direction[2])
-        t, w = segmented_nodes(rule, *rules[k])
-        own, layer = QuadratureRule(n=4, nodes=t, weights=w), rules[k][1]
-        moved, mass = moments_RI(spec, lam, mu, own, layer)
-        jac = jacobian_RI(spec, lam, mu, own, layer)
+        moved, mass = moments_RI(spec, lam, mu, rule, *rules[k])
+        jac = jacobian_RI(spec, lam, mu, rule, *rules[k])
         assert moved[0] == pytest.approx(c1[k] - terms[1, k], rel=1e-14)
         assert math.hypot(*moved[1:], mass) == pytest.approx(y[k] * terms[6, k], rel=1e-14)
         assert -jac[0, 0] == pytest.approx(terms[3, k], rel=1e-14)
@@ -274,14 +319,14 @@ def test_moments_Rcal_saturated_plateaus():
     rule = zonal_rule(3)
     low = kernel_profile(0.4, 3, -1.0)
     high = kernel_profile(0.4, 3, 1.0)
-    assert moments_Rcal(spec, np.array([low * 0.5]), rule)[0] == pytest.approx(1.0, abs=1e-14)
-    assert moments_Rcal(spec, np.array([high * 1.5]), rule)[0] == pytest.approx(-1.0, abs=1e-14)
+    assert moments_RI(spec, np.array([low * 0.5]), 0.0, rule)[0][0] == pytest.approx(1.0, abs=1e-14)
+    assert moments_RI(spec, np.array([high * 1.5]), 0.0, rule)[0][0] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_moments_Rcal_median_latitude():
     spec = ProblemSpec(n=5, m=1, r=0.35, a=np.array([0.0]), b=0.0)
     lam_mid = kernel_profile(0.35, 5, 0.0)
-    value = moments_Rcal(spec, np.array([lam_mid]), zonal_rule(5))
+    value, _ = moments_RI(spec, np.array([lam_mid]), 0.0, zonal_rule(5))
     assert value[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -305,7 +350,7 @@ def test_solve_zero_b_centered_multiplier():
 def test_solve_zero_b_nonzero_tail_residual():
     spec = ProblemSpec(n=3, m=2, r=0.4, a=np.array([0.2, 0.3]), b=0.0)
     sol = solve_zero_b(spec)
-    moved = moments_Rcal(spec, sol.lam, zonal_rule(3))
+    moved, _ = moments_RI(spec, sol.lam, 0.0, zonal_rule(3))
     np.testing.assert_allclose(moved, spec.a, atol=1e-8)
     assert sol.jump_point is None
 
