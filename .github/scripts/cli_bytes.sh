@@ -25,6 +25,9 @@ calls=(
   "extremal --n=3 --m=2 --r=0.6 --a=0.25,-0.1 --b=-0.35 --format=csv"
   "extremal --n=2 --m=1 --r=0.5 --a=0.3 --b=0 --format=json"
   "classical --n=3 --r=0.97"
+  "classical --n=2 --r=0.5 --format=csv"
+  "extremal --n=3 --m=2 --r=0.5 --a=0.3,0 --b=1e-9 --nodes=5 --format=json"
+  "bound --n=2 --m=1 --r=0.5 --a=0.9 --b=0.5"
   "verify --suite moments,jacobian,signs"
 )
 outdir=$(mktemp -d)

@@ -33,7 +33,7 @@ from .mapping import (
     constraint_residuals,
     eval_on_axis,
 )
-from .solver import ProblemSpec, kernel_profile
+from .solver import ProblemSpec, _integer, kernel_profile
 from .sphere import DEFAULT_ORDER, QuadratureRule, zonal_integrate, zonal_rule
 
 __all__ = [
@@ -90,11 +90,9 @@ class RegionEnvelope:
         return self.values[None, :] - pts @ self.directions.T
 
 
-def axis_bound(
-    spec: ProblemSpec, rule: QuadratureRule | None = None, tol: float | None = None
-) -> BoundResult:
+def axis_bound(spec: ProblemSpec, rule: QuadratureRule | None = None) -> BoundResult:
     """Sharp bound for the first target coordinate on the closed r-ball."""
-    witness = boundary_map(spec, rule, tol=tol)
+    witness = boundary_map(spec, rule)
     edge = eval_on_axis(witness, spec.r)
     direction = np.zeros(spec.m + 1)
     direction[0] = 1.0
@@ -108,14 +106,12 @@ def axis_bound(
     )
 
 
-def directional_bound(
-    spec: ProblemSpec, e, rule: QuadratureRule | None = None, tol: float | None = None
-) -> BoundResult:
+def directional_bound(spec: ProblemSpec, e, rule: QuadratureRule | None = None) -> BoundResult:
     """Sharp bound for <F, e> on the closed r-ball, |e| = 1 in R^{m+1}."""
     e = np.asarray(e, dtype=float)
     if e.shape != (spec.m + 1,):
         raise ValueError(f"direction must have shape ({spec.m + 1},), got {e.shape}")
-    return replace(axis_bound(_rotated(spec, e), rule, tol=tol), spec=spec, direction=e)
+    return replace(axis_bound(_rotated(spec, e), rule), spec=spec, direction=e)
 
 
 def _rotated(spec: ProblemSpec, e: np.ndarray) -> ProblemSpec:
@@ -133,6 +129,7 @@ def classical_bound(n: int, r: float, rule: QuadratureRule | None = None) -> flo
     1 - 2 int_{t<0} P dsigma, where P stays smooth as r -> 1; its mass
     near the pole would take rounded nodes and cap grading.
     """
+    n = _integer("n", n)
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     if not 0.0 < r < 1.0:
@@ -186,7 +183,6 @@ def region_envelope(
     count: int = 64,
     scheme: str = "auto",
     seed: int = 0,
-    tol: float | None = None,
 ) -> RegionEnvelope:
     """Envelope of the image of the closed r-ball from sampled directions.
 
@@ -199,7 +195,7 @@ def region_envelope(
     whatever the rest of the family, so a fixed family yields a
     reproducible envelope byte for byte.  No witness, residuals or
     error estimate is kept; ``directional_bound`` gives them.  Raises
-    ``SolverError`` when a direction misses its tolerance.
+    ``SolverError`` when a direction misses its branch's tolerance.
     """
     if directions is not None:
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
@@ -216,7 +212,7 @@ def region_envelope(
         dirs, resolved = direction_family(spec.m + 1, count, scheme, seed)
     if rule is None:
         rule = zonal_rule(spec.n, DEFAULT_ORDER)
-    values = axis_values(boundary_maps([_rotated(spec, e) for e in dirs], rule, tol=tol), spec.r)
+    values = axis_values(boundary_maps([_rotated(spec, e) for e in dirs], rule), spec.r)
     return RegionEnvelope(
         spec=spec,
         directions=dirs,

@@ -30,7 +30,6 @@ from .bounds import (
 from .errors import OracleError, QuadratureError, SolverError
 from .mapping import boundary_map, constraint_residuals
 from .solver import ProblemSpec
-from .sphere import DEFAULT_ORDER, zonal_rule
 
 __all__ = ["build_parser", "main"]
 
@@ -46,16 +45,17 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    target = os.path.abspath(out)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".part-")
+    target, tmp = os.path.abspath(out), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".part-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # invalid input, named by the path asked for, not the temporary file
+        raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _spec_from(args) -> ProblemSpec:
@@ -68,17 +68,14 @@ def _add_problem_flags(sub) -> None:
     sub.add_argument("--r", type=float, required=True, help="radius of the closed sub-ball")
     sub.add_argument("--a", type=_vector, required=True, help="center mean, m comma-separated floats")
     sub.add_argument("--b", type=float, required=True, help="center mean of the last coordinate")
-    sub.add_argument("--order", type=int, default=DEFAULT_ORDER, help="latitude quadrature order")
-    sub.add_argument("--tol", type=float, default=None, help="solver residual tolerance")
 
 
 def _cmd_bound(args) -> int:
     spec = _spec_from(args)
-    rule = zonal_rule(spec.n, args.order)
     if args.e is None:
         direction = np.zeros(spec.m + 1)
         direction[0] = 1.0
-        result = axis_bound(spec, rule, tol=args.tol)
+        result = axis_bound(spec)
     else:
         direction = np.asarray(args.e, dtype=float)
         if direction.shape != (spec.m + 1,):
@@ -93,7 +90,7 @@ def _cmd_bound(args) -> int:
             direction = direction / np.abs(direction).max()
             norm = float(np.linalg.norm(direction))
         direction = direction / norm
-        result = directional_bound(spec, direction, rule, tol=args.tol)
+        result = directional_bound(spec, direction)
     solution = result.witness.solution
     mean_res, mass_res = result.residuals
     if args.format == "json":
@@ -119,16 +116,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_region(args) -> int:
-    spec = _spec_from(args)
-    rule = zonal_rule(spec.n, args.order)
-    env = region_envelope(
-        spec,
-        rule,
-        count=args.directions,
-        scheme=args.scheme,
-        seed=args.seed,
-        tol=args.tol,
-    )
+    env = region_envelope(_spec_from(args), count=args.directions, scheme=args.scheme, seed=args.seed)
     _emit(envelope_to_json(env), args.out)
     return 0
 
@@ -137,8 +125,7 @@ def _cmd_extremal(args) -> int:
     spec = _spec_from(args)
     if args.nodes < 2:
         raise ValueError(f"need at least 2 latitude samples, got {args.nodes}")
-    rule = zonal_rule(spec.n, args.order)
-    bmap = boundary_map(spec, rule, tol=args.tol)
+    bmap = boundary_map(spec)
     solution = bmap.solution
     mean_res, mass_res = constraint_residuals(bmap)
     grid = np.linspace(-1.0, 1.0, args.nodes)
@@ -187,7 +174,7 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_classical(args) -> int:
-    value = classical_bound(args.n, args.r, zonal_rule(args.n, args.order))
+    value = classical_bound(args.n, args.r)
     if args.format == "json":
         text = (
             "{\n"
@@ -208,11 +195,9 @@ def _cmd_verify(args) -> int:
     else:
         names = [part.strip() for part in args.suite.split(",") if part.strip()]
         unknown = [name for name in names if name not in CRITERIA]
-        if unknown:
-            raise ValueError(
-                f"unknown suite name(s) {', '.join(unknown)}; "
-                f"choose from full, {', '.join(CRITERIA)}"
-            )
+        if unknown or not names:
+            said = f"unknown suite name(s) {', '.join(unknown)}" if unknown else f"empty suite {args.suite!r}"
+            raise ValueError(f"{said}; choose from full, {', '.join(CRITERIA)}")
     lines = []
     all_passed = True
     for name in names:
@@ -268,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     classical = sub.add_parser("classical", help="centered bound (a = 0, b = 0) for dimension n")
     classical.add_argument("--n", type=int, required=True)
     classical.add_argument("--r", type=float, required=True)
-    classical.add_argument("--order", type=int, default=DEFAULT_ORDER)
     classical.add_argument("--format", choices=("json", "csv"), default="json")
     classical.add_argument("--out", default=None)
     classical.set_defaults(handler=_cmd_classical)

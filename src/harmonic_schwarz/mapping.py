@@ -102,25 +102,22 @@ class MapEvaluation:
     quadrature_error_estimate: float
 
 
-def boundary_map(
-    spec: ProblemSpec,
-    rule: QuadratureRule | None = None,
-    tol: float | None = None,
-) -> BoundaryMap:
+def boundary_map(spec: ProblemSpec, rule: QuadratureRule | None = None) -> BoundaryMap:
     """Solve the moment system for spec and wrap the extremal datum: the
     batch of one of ``boundary_maps``."""
-    return boundary_maps([spec], rule, tol)[0]
+    return boundary_maps([spec], rule)[0]
 
 
-def boundary_maps(specs, rule: QuadratureRule | None = None, tol: float | None = None) -> list:
+def boundary_maps(specs, rule: QuadratureRule | None = None) -> list:
     """The boundary maps of specs that share n and r, with all their moment
     systems solved in one batch (``solver.solve_batch``, which also solves
-    a negative b as |b|); each map takes its solution's breakpoints and
+    a negative b as |b| and raises ``SolverError`` when a residual misses
+    its branch's tolerance); each map takes its solution's breakpoints and
     layer.  No specs give no maps."""
     specs = list(specs)
     if rule is None and specs:
         rule = zonal_rule(specs[0].n, DEFAULT_ORDER)
-    sols = solve_batch(specs, rule, tol)
+    sols = solve_batch(specs, rule)
     return [BoundaryMap(spec, sol.branch, sol, sol.breakpoints, rule, sol.layer) for spec, sol in zip(specs, sols)]
 
 

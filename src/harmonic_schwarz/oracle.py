@@ -24,7 +24,7 @@ solved as a primal-dual certificate:
   feasible constant datum u = a), so its objective is a true lower
   bound up to the constraint slack of 1e-9;
 * the gap: the reported value is that lower bound, and the call raises
-  ``OracleError`` unless the dual value exceeds it by at most ``tol``.
+  ``OracleError`` unless the dual value exceeds it by at most 5e-4.
 """
 
 from __future__ import annotations
@@ -221,13 +221,13 @@ def _certify(u: np.ndarray, program: DiscretizedProgram) -> tuple[np.ndarray, fl
     return x, violation
 
 
-_GAP_TOL = 5e-4  # default bound on the dual value minus the certified value
+_GAP_TOL = 5e-4  # bound on the dual value minus the certified value
 
 
-def _maximize(program: DiscretizedProgram, tol: float) -> float:
+def _maximize(program: DiscretizedProgram) -> float:
     """Certified objective of the dual's primal point: a lower bound of
-    the discrete maximum, within ``tol`` of the dual value, which is an
-    upper bound by weak duality."""
+    the discrete maximum, within ``_GAP_TOL`` of the dual value, which is
+    an upper bound by weak duality."""
     upper, nu, eta, u = _dual_multipliers(program)
     if program.spec.b == 0.0:
         u = _repair_crossing(u, program, nu)
@@ -238,24 +238,24 @@ def _maximize(program: DiscretizedProgram, tol: float) -> float:
         )
     value = program.objective(u)
     gap = upper - value
-    if gap > tol:
+    if gap > _GAP_TOL:
         raise OracleError(
-            f"certificate gap {gap:.3e} between the dual and the certified value exceeds tol {tol:.1e}",
+            f"certificate gap {gap:.3e} between the dual and the certified value exceeds tol {_GAP_TOL:.1e}",
             gap=gap,
         )
     return value
 
 
-def discretized_max(spec: ProblemSpec, node_count: int = 2048, tol: float = _GAP_TOL) -> float:
+def discretized_max(spec: ProblemSpec, node_count: int = 2048) -> float:
     """Certified value of the node-discretized extremal program.
 
     The feasibility of the point behind the value is certified to 1e-9,
-    and the dual value exceeds it by at most ``tol``; otherwise
+    and the dual value exceeds it by at most 5e-4; otherwise
     ``OracleError`` is raised.
     """
     if node_count < 8:
         raise ValueError(f"need at least 8 nodes, got {node_count}")
-    return _maximize(build_program(spec, node_count), tol)
+    return _maximize(build_program(spec, node_count))
 
 
 def discretized_max_sphere(spec: ProblemSpec, node_count: int = 200) -> float:
@@ -263,7 +263,7 @@ def discretized_max_sphere(spec: ProblemSpec, node_count: int = 200) -> float:
 
     Exists to cross-check the zonal discretization with an unrelated
     node geometry, and runs the same certificate with
-    ``discretized_max``'s default gap bound.  The nodes are the fixed
+    ``discretized_max``'s gap bound.  The nodes are the fixed
     sample ``sample_sphere(n, node_count // 2, 0)`` and its antipodes.
     The value is the optimum of the node program, but the nodes are a
     Monte Carlo sample of the sphere, so its distance to the axis bound
@@ -283,7 +283,7 @@ def discretized_max_sphere(spec: ProblemSpec, node_count: int = 200) -> float:
         kernel=poisson_kernel(pole, nodes, spec.n),
         description=f"antithetic uniform sample, {node_count} sphere nodes",
     )
-    return _maximize(program, _GAP_TOL)
+    return _maximize(program)
 
 
 @dataclass(frozen=True)

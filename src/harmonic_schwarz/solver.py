@@ -63,6 +63,7 @@ writer of the data, for many solutions at once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -110,15 +111,16 @@ class ProblemSpec:
     b: float
 
     def __post_init__(self):
-        if not 2 <= self.n <= MAX_DIMENSION:
-            raise ValueError(f"need 2 <= n <= {MAX_DIMENSION}, got n={self.n}")
-        if not 1 <= self.m <= MAX_TARGET_DIM:
-            raise ValueError(f"need 1 <= m <= {MAX_TARGET_DIM}, got m={self.m}")
+        n, m = _integer("n", self.n), _integer("m", self.m)
+        if not 2 <= n <= MAX_DIMENSION:
+            raise ValueError(f"need 2 <= n <= {MAX_DIMENSION}, got n={n}")
+        if not 1 <= m <= MAX_TARGET_DIM:
+            raise ValueError(f"need 1 <= m <= {MAX_TARGET_DIM}, got m={m}")
         if not 0.0 < self.r < 1.0:
             raise ValueError(f"need 0 < r < 1, got r={self.r}")
         a = np.ascontiguousarray(np.atleast_1d(np.asarray(self.a, dtype=float)))
-        if a.shape != (self.m,):
-            raise ValueError(f"a must have shape ({self.m},), got {a.shape}")
+        if a.shape != (m,):
+            raise ValueError(f"a must have shape ({m},), got {a.shape}")
         if not (np.all(np.isfinite(a)) and math.isfinite(self.b)):
             raise ValueError(f"center value must be finite, got a={a}, b={self.b}")
         norm2 = float(a @ a) + float(self.b) ** 2
@@ -127,9 +129,15 @@ class ProblemSpec:
                 f"center value must lie inside the ball: |a|^2 + b^2 = {norm2} >= 1"
             )
         a.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "r", float(self.r))
+        for name, value in (("n", n), ("m", m), ("r", float(self.r)), ("a", a), ("b", float(self.b))):
+            object.__setattr__(self, name, value)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; ``ValueError`` unless it is an integer (NumPy's too)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -486,9 +494,10 @@ def _zero_b_warnings(spec: ProblemSpec, rho: float, bends: bool) -> list[str]:
     return out
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"need a finite tol > 0, got tol={tol}")
+# Residual tolerances of the two branches: a solve that ends above its
+# branch's raises ``SolverError`` (the Newton iteration runs to 1e-13).
+_POSITIVE_B_TOL = 1e-10
+_ZERO_B_TOL = 1e-8
 
 
 def _check_residual(residual: float, tol: float, evaluations: int) -> None:
@@ -593,7 +602,7 @@ def _dual_terms(spec: ProblemSpec, rule: QuadratureRule, c1, rho, f, x, y):
     return np.array([q, *grad, p0, cos * p1, p2 + sin * sin * p0, s0]), rules
 
 
-def _minimize_dual(spec, rule, c1, rho, f, tol, x, y):
+def _minimize_dual(spec, rule, c1, rho, f, x, y):
     """Minimize K reduced duals, of the centers (c1, rho) with fixed field
     components f, from the points (x, y); arrays of shape (K,).
 
@@ -603,7 +612,7 @@ def _minimize_dual(spec, rule, c1, rho, f, tol, x, y):
     optimum of near-degenerate centers.  Once q no longer resolves the step
     (alpha * decrement below 1e-12 |q|; at b ~ 1e-9 q moves by ~1e-18) a
     decrease of the row's largest gradient entry is accepted instead.  A
-    row stops when that entry is below min(tol, 1e-13), after 100 steps, 30
+    row stops when that entry is below 1e-13, after 100 steps, 30
     halvings or a step that makes no progress.  Each round evaluates the
     candidates of all open rows in one ``_dual_terms`` call, so a row's
     bits and evaluation count do not depend on K or on its neighbours.
@@ -627,9 +636,7 @@ def _minimize_dual(spec, rule, c1, rho, f, tol, x, y):
             dec = -(g0 * dx + g1 * dy)
             alpha[rows] = np.where(dy >= 0.0, 1.0, np.minimum(1.0, 0.9 * y[rows] / -dy))
         size[rows] = np.maximum(np.abs(g0), np.abs(g1))
-        searching[rows] = (
-            (size[rows] > np.minimum(tol[rows], 1e-13)) & (dec > 0.0) & (dec < np.inf) & (steps[rows] < 100)
-        )
+        searching[rows] = (size[rows] > 1e-13) & (dec > 0.0) & (dec < np.inf) & (steps[rows] < 100)
         step[:, rows], decrement[rows], halvings[rows] = (dx, dy), dec, 0
 
     newton(np.arange(count))
@@ -692,27 +699,24 @@ def _solve_face(spec: ProblemSpec, rule: QuadratureRule):
     return lam, t_star, breaks, residual, evaluations, steps
 
 
-def _solve(specs, rule, tol) -> list[LagrangeSolution]:
+def _solve(specs, rule) -> list[LagrangeSolution]:
     """Solutions of centers sharing n and r: b > 0 branch for |b| unless b = 0.
 
-    ``tol`` None takes each branch's default.  Face centers (rho below
-    1e-300) solve for t* alone; all others minimize their reduced duals in
-    one ``_minimize_dual`` call, started at the face optimum x = g(t*),
-    y = rho x.  Raises ``SolverError`` for the first center, in order,
-    whose residual misses its tolerance.
+    Face centers (rho below 1e-300) solve for t* alone; all others
+    minimize their reduced duals in one ``_minimize_dual`` call, started
+    at the face optimum x = g(t*), y = rho x.  Raises ``SolverError`` for
+    the first center, in order, whose residual misses its branch's
+    tolerance.
     """
     if rule is None:
         rule = zonal_rule(specs[0].n, DEFAULT_ORDER)
     perps = [np.append(s.a[1:], abs(s.b)) if s.b else s.a[1:] for s in specs]
     rho = [math.hypot(*perp) for perp in perps]
-    tols = [(1e-10 if s.b else 1e-8) if tol is None else tol for s in specs]
     dual = [k for k in range(len(specs)) if rho[k] >= _FACE_RHO]
     if dual:
-        c1, rho_d, tol_d = (np.array([v[k] for k in dual]) for v in ([s.a[0] for s in specs], rho, tols))
+        c1, rho_d = np.array([specs[k].a[0] for k in dual]), np.array([rho[k] for k in dual])
         x = np.array([_face_level(specs[k]) for k in dual])
-        x, y, terms, rules, evaluations, steps = _minimize_dual(
-            specs[0], rule, c1, rho_d, np.zeros(len(dual)), tol_d, x, rho_d * x
-        )
+        x, y, terms, rules, evaluations, steps = _minimize_dual(specs[0], rule, c1, rho_d, np.zeros_like(x), x, rho_d * x)
         residual = _residual(terms, np.array([float(np.abs(perps[k]).max()) / rho[k] for k in dual]))
     solved = {k: j for j, k in enumerate(dual)}
     out = []
@@ -724,7 +728,7 @@ def _solve(specs, rule, tol) -> list[LagrangeSolution]:
         else:
             point, res, evals, newton = (float(x[j]), float(y[j])), float(residual[j]), int(evaluations[j]), int(steps[j])
             (breaks, layer), t_star = rules[j], None
-        _check_residual(res, tols[k], evals)
+        _check_residual(res, _POSITIVE_B_TOL if b else _ZERO_B_TOL, evals)
         if b:  # y = rho on the face gives mu = b
             mu = point[1] * (b / rho[k]) if j is not None else b
             lam = np.concatenate(([point[0]], (-spec.a[1:] / b) * mu))
@@ -754,31 +758,25 @@ def _solve(specs, rule, tol) -> list[LagrangeSolution]:
     return out
 
 
-def solve_batch(specs, rule: QuadratureRule | None = None, tol: float | None = None) -> list[LagrangeSolution]:
+def solve_batch(specs, rule: QuadratureRule | None = None) -> list[LagrangeSolution]:
     """Solve the moment systems of centers sharing n and r in one batch.
 
     A center with b != 0 is solved on the b > 0 branch for |b| (``datum``
     signs the last component from spec.b), one with b = 0 on the b = 0
-    branch; ``tol`` defaults to each branch's (1e-10 and 1e-8).  All
-    reduced duals off the rho = 0 face are minimized in one call, and a
-    row's result does not depend on the other rows, so each solution is
-    bit for bit the one ``solve_positive_b`` or ``solve_zero_b`` returns.
-    Raises ``SolverError`` for the first center, in order, that misses its
-    tolerance.
+    branch.  All reduced duals off the rho = 0 face are minimized in one
+    call, and a row's result does not depend on the other rows, so each
+    solution is bit for bit the one ``solve_positive_b`` or
+    ``solve_zero_b`` returns.  Raises ``SolverError`` for the first
+    center, in order, whose residual is not below its branch's tolerance
+    (1e-10 for b != 0, 1e-8 for b = 0).
     """
     specs = list(specs)
     if any((s.n, s.r) != (specs[0].n, specs[0].r) for s in specs):
         raise ValueError("a batch needs centers that share n and r")
-    if tol is not None:
-        _check_tol(tol)
-    return _solve(specs, rule, tol) if specs else []
+    return _solve(specs, rule) if specs else []
 
 
-def solve_positive_b(
-    spec: ProblemSpec,
-    rule: QuadratureRule | None = None,
-    tol: float = 1e-10,
-) -> LagrangeSolution:
+def solve_positive_b(spec: ProblemSpec, rule: QuadratureRule | None = None) -> LagrangeSolution:
     """Solve R(lam, mu) = a, I(lam, mu) = b for b > 0.
 
     Minimizes the reduced dual in (x, y) = (lam_1, |(lam_2..lam_m, mu)|)
@@ -788,19 +786,15 @@ def solve_positive_b(
     moment system, on the rule with the datum's turnover layer on its own
     panel (``layer``), which small b makes arbitrarily thin.  Centers with
     rho = |(a_2..a_m, b)| below 1e-300 are solved on the rho = 0 face,
-    with y = rho and the breakpoint t*.
+    with y = rho and the breakpoint t*.  Raises ``SolverError`` unless
+    the residual is below 1e-10.
     """
     if spec.b <= 0.0:
         raise ValueError(f"positive branch requires b > 0, got b={spec.b}")
-    _check_tol(tol)
-    return _solve([spec], rule, tol)[0]
+    return _solve([spec], rule)[0]
 
 
-def solve_zero_b(
-    spec: ProblemSpec,
-    rule: QuadratureRule | None = None,
-    tol: float = 1e-8,
-) -> LagrangeSolution:
+def solve_zero_b(spec: ProblemSpec, rule: QuadratureRule | None = None) -> LagrangeSolution:
     """Solve Rcal(lam) = a on the degenerate branch b = 0.
 
     With a vanishing multiplier tail (rho = |(a_2..a_m)| = 0, or below
@@ -809,12 +803,12 @@ def solve_zero_b(
     the dual's rho = 0 face.  Otherwise
     the reduced dual is minimized as on the positive branch and
     lam_j = -y a_j / rho; a small tail bends the datum over a thin kink
-    layer, resolved on the solution's ``layer`` panel.
+    layer, resolved on the solution's ``layer`` panel.  Raises
+    ``SolverError`` unless the residual is below 1e-8.
     """
     if spec.b != 0.0:
         raise ValueError(f"zero branch requires b = 0, got b={spec.b}")
-    _check_tol(tol)
-    return _solve([spec], rule, tol)[0]
+    return _solve([spec], rule)[0]
 
 
 def lambda_path_point(spec: ProblemSpec, mu: float):
@@ -833,11 +827,9 @@ def lambda_path_point(spec: ProblemSpec, mu: float):
     rho = math.hypot(*perp)
     x = _face_level(spec)
     row = lambda v: np.array([v], dtype=float)
-    x, y, terms, _, evaluations, _ = _minimize_dual(
-        spec, rule, row(spec.a[0]), row(rho), row(mu), row(1e-10), row(x), row(rho * x)
-    )
+    x, y, terms, _, evaluations, _ = _minimize_dual(spec, rule, row(spec.a[0]), row(rho), row(mu), row(x), row(rho * x))
     spread = float(np.abs(perp).max()) / rho if rho > 0.0 else 0.0
-    _check_residual(float(_residual(terms, spread)[0]), 1e-10, int(evaluations[0]))
+    _check_residual(float(_residual(terms, spread)[0]), _POSITIVE_B_TOL, int(evaluations[0]))
     lam = np.zeros(spec.m)
     lam[0] = x[0]
     if rho > 0.0:

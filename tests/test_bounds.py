@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmonic_schwarz import ProblemSpec, SolverError, eval_on_axis
+from harmonic_schwarz import ProblemSpec, SolverError, eval_on_axis, solver
 from harmonic_schwarz.bounds import (
     _rotated,
     axis_bound,
@@ -129,6 +129,10 @@ def test_classical_bound_validation():
         classical_bound(3, 0.0)
     with pytest.raises(ValueError):
         classical_bound(3, 1.0)
+    for n in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            classical_bound(n, 0.5)
+    assert classical_bound(np.int64(3), 0.5) == classical_bound(3, 0.5)
 
 
 def test_origin_envelope_is_a_circle():
@@ -271,10 +275,11 @@ def test_batches_past_one_pass_keep_every_value():
         assert env.values[i] == directional_bound(spec, env.directions[i]).value
 
 
-def test_envelope_raises_when_a_direction_misses_its_tolerance():
+def test_envelope_raises_when_a_direction_misses_its_tolerance(monkeypatch):
     spec = ProblemSpec(3, 2, 0.5, (0.3, -0.2), 0.35)
+    monkeypatch.setattr(solver, "_POSITIVE_B_TOL", 1e-18)
     with pytest.raises(SolverError):
-        region_envelope(spec, count=8, scheme="random", seed=1, tol=1e-18)
+        region_envelope(spec, count=8, scheme="random", seed=1)
 
 
 def test_envelope_direction_validation():

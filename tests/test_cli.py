@@ -12,8 +12,11 @@ import warnings
 import numpy as np
 import pytest
 
+from harmonic_schwarz import ProblemSpec, SolverError, acceptance, solver
 from harmonic_schwarz.bounds import classical_bound
 from harmonic_schwarz.cli import main
+from harmonic_schwarz.mapping import boundary_map
+from harmonic_schwarz.sphere import zonal_rule
 
 HEINZ = ["--n", "2", "--m", "1", "--r", "0.5", "--a", "0", "--b", "0"]
 MIXED = ["--n", "3", "--m", "2", "--r", "0.5", "--a", "0.25,-0.1", "--b", "0.35"]
@@ -119,8 +122,7 @@ def test_invalid_geometry_exits_with_code_two(capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--a", "nan"], ["--b", "nan"], ["--a", "inf"], ["--tol", "nan"], ["--tol", "0"],
-     ["--tol", "-1"], ["--tol", "inf"]],
+    [["--a", "nan"], ["--b", "nan"], ["--a", "inf"]],
 )
 def test_non_finite_input_or_tolerance_exits_with_code_two(flags, capsys):
     code, _, err = run(["bound", *HEINZ, *flags], capsys)  # the last occurrence wins
@@ -150,8 +152,9 @@ def test_zero_direction_exits_with_code_two(capsys):
     assert "nonzero" in err
 
 
-def test_unreachable_tolerance_exits_with_code_three(capsys):
-    code, _, err = run(["bound", *HEINZ, "--tol", "1e-30"], capsys)
+def test_unreachable_tolerance_exits_with_code_three(monkeypatch, capsys):
+    monkeypatch.setattr(solver, "_ZERO_B_TOL", 1e-30)  # HEINZ has b = 0
+    code, _, err = run(["bound", *HEINZ], capsys)
     assert code == 3
     assert err.startswith("solver failure:")
 
@@ -205,8 +208,16 @@ def test_extremal_multipliers_are_discretization_stable(capsys):
         return lambda_line(out)
 
     baseline = lam_for([])
-    assert np.abs(lam_for(["--tol", "1e-6"]) - baseline).max() < 1e-10
-    assert np.abs(lam_for(["--order", "256"]) - baseline).max() < 1e-12
+    spec = ProblemSpec(n=3, m=2, r=0.5, a=(0.25, -0.1), b=0.35)  # MIXED
+    assert np.abs(boundary_map(spec, zonal_rule(3, 256)).solution.lam - baseline).max() < 1e-12
+
+
+@pytest.mark.parametrize("command", ["bound", "region", "extremal", "classical"])
+def test_accuracy_is_not_a_flag(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    assert "--order" not in text and "--tol" not in text
 
 
 def test_extremal_json_samples_are_well_formed(capsys):
@@ -262,6 +273,51 @@ def test_verify_rejects_unknown_suite(capsys):
     code, _, err = run(["verify", "--suite", "bogus"], capsys)
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize("suite", ["", ",", " , "])
+def test_verify_refuses_an_empty_suite(suite, capsys):
+    # no criterion run must not read as every criterion passed
+    code, out, err = run(["verify", "--suite", suite], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: empty suite")
+
+
+def test_verify_reports_an_aborted_criterion(monkeypatch, capsys):
+    def stalls():
+        raise SolverError("moment solve stalled at residual 1.000e-03 (tol 1.0e-10)")
+
+    monkeypatch.setitem(acceptance._REGISTRY, "heinz", stalls)
+    code, out, _ = run(["verify", "--suite", "heinz,signs"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL heinz: aborted: moment solve stalled at residual 1.000e-03 (tol 1.0e-10)"
+    assert lines[1].startswith("PASS signs:")
+    assert lines[-1] == "1/2 criteria passed"
+
+
+def test_verify_reports_a_failed_criterion_with_its_time(monkeypatch, capsys):
+    failed = dict(passed=False, measured=1.0, budget=1e-8, detail="max deviation 1.000e+00")
+    monkeypatch.setitem(acceptance._REGISTRY, "heinz", lambda: dict(failed))
+    code, out, _ = run(["verify", "--suite", "heinz"], capsys)
+    assert code == 1
+    first, last = out.splitlines()
+    assert first.startswith("FAIL heinz: max deviation 1.000e+00 [elapsed ")
+    assert first.endswith("s]")
+    assert last == "0/1 criteria passed"
+
+
+def test_unwritable_out_exits_with_code_two_and_leaves_nothing(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(["bound", *MIXED, "--out", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --out {target}:")
+    assert ".part-" not in err
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "taken").mkdir()  # the rename fails after the temporary file is written
+    code, _, err = run(["bound", *MIXED, "--out", str(tmp_path / "taken")], capsys)
+    assert code == 2 and err.startswith(f"error: cannot write --out {tmp_path / 'taken'}:")
+    assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
 
 
 def test_out_file_matches_stdout_exactly(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_schwarz import OracleError, ProblemSpec
+from harmonic_schwarz import OracleError, ProblemSpec, oracle
 from harmonic_schwarz.bounds import axis_bound
 from harmonic_schwarz.mapping import boundary_map, constant_map, eval_batch
 from harmonic_schwarz.oracle import (
@@ -57,12 +57,14 @@ def test_zonal_search_resolves_an_off_centre_jump():
     assert value == pytest.approx(expected, abs=1e-6)
 
 
-def test_zonal_search_certifies_its_gap():
+def test_zonal_search_certifies_its_gap(monkeypatch):
     spec = ProblemSpec(3, 2, 0.5, (0.2, -0.1), 0.4)
-    value = discretized_max(spec, node_count=2048, tol=1e-8)
+    monkeypatch.setattr(oracle, "_GAP_TOL", 1e-8)
+    value = discretized_max(spec, node_count=2048)
     assert value == pytest.approx(reference_bound(3, 2, 0.5, (0.2, -0.1), 0.4), abs=1e-6)
+    monkeypatch.setattr(oracle, "_GAP_TOL", 1e-30)
     with pytest.raises(OracleError) as err:
-        discretized_max(spec, node_count=2048, tol=1e-30)
+        discretized_max(spec, node_count=2048)
     assert err.value.gap > 1e-30
 
 

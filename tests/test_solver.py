@@ -18,6 +18,7 @@ from harmonic_schwarz import (
     moments_RI,
     solve_positive_b,
     solve_zero_b,
+    solver,
     zonal_integrate,
     zonal_rule,
 )
@@ -45,6 +46,15 @@ def test_problem_spec_validation():
     for a, b in (([math.nan], 0.0), ([0.1], math.nan), ([math.inf], 0.0), ([0.1], -math.inf)):
         with pytest.raises(ValueError):
             ProblemSpec(n=2, m=1, r=0.5, a=np.array(a), b=b)
+    for n, m in ((3.5, 1), (3, 1.0), (3.0, 1), ("3", 1)):  # no sphere of dimension 3.5
+        with pytest.raises(ValueError, match="must be an integer"):
+            ProblemSpec(n=n, m=m, r=0.5, a=[0.2], b=0.1)
+
+
+def test_problem_spec_takes_numpy_integer_dimensions_as_ints():
+    spec = ProblemSpec(n=np.int64(3), m=np.int32(1), r=0.5, a=[0.2], b=0.1)
+    assert (type(spec.n), type(spec.m)) == (int, int)
+    assert axis_bound(spec).value == axis_bound(ProblemSpec(n=3, m=1, r=0.5, a=[0.2], b=0.1)).value
 
 
 def test_kernel_profile_range_and_value():
@@ -411,20 +421,13 @@ def test_subnormal_off_axis_parts_solve_on_the_face(rho, along):
         assert result.witness.solution.mu == rho
 
 
-def test_solver_error_carries_residual():
+def test_solver_error_carries_residual(monkeypatch):
     spec = ProblemSpec(n=3, m=1, r=0.6, a=np.array([0.2]), b=0.3)
+    monkeypatch.setattr(solver, "_POSITIVE_B_TOL", 1e-30)
     with pytest.raises(SolverError) as err:
-        solve_positive_b(spec, tol=1e-30)
+        solve_positive_b(spec)
     assert err.value.residual > 0
     assert err.value.iterations > 0
-
-
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
-def test_solvers_reject_a_tolerance_that_is_not_finite_and_positive(tol):
-    with pytest.raises(ValueError):
-        solve_positive_b(ProblemSpec(n=3, m=1, r=0.6, a=np.array([0.2]), b=0.3), tol=tol)
-    with pytest.raises(ValueError):
-        solve_zero_b(ProblemSpec(n=3, m=1, r=0.6, a=np.array([0.2]), b=0.0), tol=tol)
 
 
 def test_mass_increases_along_solved_path():
