@@ -7,7 +7,6 @@ with the convex envelope of the image of a closed ball.  A discretized
 convex program and mean-value probes provide independent verification.
 """
 
-from .acceptance import CRITERIA, CriterionResult, run_suite
 from .bounds import (
     BoundResult,
     RegionEnvelope,
@@ -73,6 +72,17 @@ from .sphere import (
 )
 
 __version__ = "0.1.0"
+
+_ACCEPTANCE = ("CRITERIA", "CriterionResult", "run_suite")
+
+
+def __getattr__(name: str):
+    # the acceptance suite loads on first use: only `verify` needs it (PEP 562)
+    if name in _ACCEPTANCE:
+        from . import acceptance
+
+        return getattr(acceptance, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AdmissibleMixture",

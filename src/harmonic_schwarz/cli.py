@@ -18,7 +18,6 @@ import tempfile
 
 import numpy as np
 
-from .acceptance import CRITERIA, run_suite
 from .bounds import (
     _fmt,
     axis_bound,
@@ -48,6 +47,9 @@ def _emit(text: str, out: str | None) -> None:
     target, tmp = os.path.abspath(out), None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".part-")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode of a plain write, not mkstemp's 0600
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, target)
@@ -190,6 +192,8 @@ def _cmd_classical(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .acceptance import CRITERIA, run_suite  # only verify needs the criteria
+
     if args.suite == "full":
         names = list(CRITERIA)
     else:

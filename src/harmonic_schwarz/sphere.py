@@ -46,13 +46,27 @@ correction or, for alpha >= 12, the Jacobi matrix's eigenvalues, then
 Christoffel weights mass / sum_k p_k(x)^2, with the mass
 2^{alpha+beta+1} B(alpha+1, beta+1) from ``math.lgamma``.  Each of its
 few sweeps costs O(order^2).
+
+The rules the package asks for are shipped as that routine's saved
+output, so no process repeats the sweeps: ``gauss_jacobi.f8`` next to
+this module holds, for every key of ``_TABLE_KEYS`` in turn, the rule's
+nodes and then its weights as raw little-endian float64.  The keys are
+the weights (p, p), (p, 0) and (0, p) with p = (n-3)/2 for the
+dimensions n = 2, 3, 4 and 16 that the package's callers use, at orders
+16 to 512, and (p, p) at order 2048 for the oracle, less the two closed
+forms.  ``_base_jacobi`` reads one key's slice from the file, and builds
+any other key as before.  ``python tools/rule_table.py`` rewrites the
+file (written with numpy 2.4.6, which CI pins), and a Tier-1 test
+rebuilds every key and compares bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -119,7 +133,7 @@ def _gauss_jacobi(order: int, alpha: float, beta: float):
     which the Jacobi differential equation gives at a root.  Near an
     endpoint that ratio is about (alpha + 1)/(1 - x), so the correction
     keeps endpoint weights accurate where the rounding of the node alone
-    would not.
+    would not.  An even weight (alpha = beta) gets an exactly symmetric rule.
     """
     a, s = _jacobi_recurrence(order, alpha, beta)
     ab = alpha + beta
@@ -158,15 +172,35 @@ def _gauss_jacobi(order: int, alpha: float, beta: float):
             continue
         if np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0:
             k_slope = ((ab + 2.0) * x + alpha - beta) / sigma
-            return x, math.exp(log_mass) / (k_sum * (1.0 - k_slope * dx))
+            w = math.exp(log_mass) / (k_sum * (1.0 - k_slope * dx))
+            if alpha == beta:
+                x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+            return x, w
     raise QuadratureError(
         f"Gauss-Jacobi nodes (order {order}, alpha {alpha}, beta {beta}) did not separate"
     )
 
 
+_TABLE_PATH = os.path.join(os.path.dirname(__file__), "gauss_jacobi.f8")
+# the dimensions the package's measured callers use: 2, 3, 4 and 16
+_TABLE_KEYS = tuple(
+    (order, alpha, beta)
+    for order in (16, 32, 64, 128, 256, 512, 2048)
+    for alpha, beta in dict.fromkeys(
+        key
+        for p in (0.5 * (n - 3) for n in (2, 3, 4, 16))
+        for key in ((p, p),) + (((p, 0.0), (0.0, p)) if order < 2048 else ())
+    )
+    if not (alpha == beta and abs(alpha) == 0.5)  # the closed forms
+)
+# where each key's nodes start in the file, in float64s
+_TABLE_OFFSETS = dict(zip(_TABLE_KEYS, accumulate((2 * k[0] for k in _TABLE_KEYS), initial=0)))
+
+
 @lru_cache(maxsize=None)
 def _base_jacobi(order: int, alpha: float, beta: float):
-    """Nodes and weights for the weight (1-x)^alpha (1+x)^beta on [-1, 1]."""
+    """Nodes and weights for the weight (1-x)^alpha (1+x)^beta on [-1, 1]:
+    a closed form, the shipped table's slice, or else a Newton build."""
     if order < 1:
         raise QuadratureError(f"rule order must be >= 1, got {order}")
     if alpha == beta == -0.5:
@@ -180,11 +214,11 @@ def _base_jacobi(order: int, alpha: float, beta: float):
         # written as a sine of the angle from the equator so the nodes are exactly odd
         y = (2.0 * np.arange(1, order + 1) - order - 1.0) * (np.pi / (2.0 * order + 2.0))
         return np.sin(y), (np.pi / (order + 1)) * np.cos(y) ** 2
-    x, w = _gauss_jacobi(order, alpha, beta)
-    if alpha == beta:
-        # the weight is even: make the rule exactly symmetric
-        x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
-    return x, w
+    start = _TABLE_OFFSETS.get((order, alpha, beta))
+    if start is not None:
+        data = np.fromfile(_TABLE_PATH, dtype="<f8", count=2 * order, offset=8 * start)
+        return data[:order].copy(), data[order:].copy()
+    return _gauss_jacobi(order, alpha, beta)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -95,9 +95,29 @@ def test_classical_bound_planar_values(r):
     assert classical_bound(2, r) == pytest.approx((4.0 / np.pi) * np.arctan(r), abs=1e-13)
 
 
-@pytest.mark.parametrize("r", [0.3, 0.7, 0.999])
+@pytest.mark.parametrize("r", [0.1, 0.3, 0.7, 0.999, 0.9999])
 def test_classical_bound_three_dim_closed_form(r):
-    assert classical_bound(3, r) == pytest.approx(three_dim_classical(r), abs=1e-9)
+    # U_3(r), measured to 1.3e-15
+    assert classical_bound(3, r) == pytest.approx(three_dim_classical(r), abs=1e-13)
+
+
+def rho_zero_face(n: int, r: float, a1: float) -> float:
+    """The sharp bound at center (a1, 0, .., 0) with b = 0, where the datum
+    is sign(t - t*): Chen's planar form for n = 2, and for n = 3 (t* = -a1)
+    the integral of the Poisson kernel over a cap."""
+    if n == 2:
+        return (4.0 / np.pi) * np.arctan((1.0 + r) / (1.0 - r) * np.tan(np.pi * (1.0 + a1) / 4.0)) - 1.0
+    return 1.0 - (1.0 - r * r) / r * ((1.0 + r * r + 2.0 * r * a1) ** -0.5 - 1.0 / (1.0 + r))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [1, 3])
+def test_axis_bound_on_the_rho_zero_face_matches_its_closed_form(n, m):
+    # measured to 1.9e-14 (n = 2) and 1.6e-15 (n = 3)
+    for r in (0.1, 0.5, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6):
+        for a1 in (-0.99, -0.5, 0.0, 0.3, 0.9, 0.99):
+            spec = ProblemSpec(n=n, m=m, r=r, a=np.r_[a1, np.zeros(m - 1)], b=0.0)
+            assert axis_bound(spec).value == pytest.approx(rho_zero_face(n, r, a1), abs=1e-13), (r, a1)
 
 
 def test_classical_bound_limits_and_monotonicity():

@@ -5,6 +5,8 @@ subprocess to cover the module entry point and file output.
 """
 
 import json
+import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -74,6 +76,18 @@ def test_solving_cli_calls_never_load_scipy(tmp_path, subprocess_env):
     doc = json.loads(proc.stdout)
     assert doc["codes"] == [0, 0, 0]
     assert doc["scipy"] == []
+
+
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded(tmp_path, subprocess_env):
+    script = (
+        "import sys, harmonic_schwarz.cli, harmonic_schwarz as hs\n"
+        "assert 'harmonic_schwarz.acceptance' not in sys.modules\n"
+        "assert 'heinz' in hs.CRITERIA and hs.run_suite is hs.acceptance.run_suite\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=subprocess_env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_help_lists_the_subcommands(capsys):
@@ -328,3 +342,15 @@ def test_out_file_matches_stdout_exactly(tmp_path, capsys):
     assert code == 0
     assert target.read_text() == out
     assert out.endswith("\n")
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_out_file_takes_the_mode_of_a_plain_write(umask, mode, tmp_path, capsys):
+    target = tmp_path / "classical.csv"
+    old = os.umask(umask)
+    try:
+        code, _, _ = run(["classical", "--n=2", "--r=0.5", "--out", str(target)], capsys)
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(target.stat().st_mode) == mode

@@ -16,6 +16,7 @@ from harmonic_schwarz import (
     zonal_integrate,
     zonal_rule,
 )
+from harmonic_schwarz import sphere
 from harmonic_schwarz.solver import ProblemSpec, _axis_cap_breakpoints, _layer_crossings, _layer_rule, kernel_profile
 from harmonic_schwarz.sphere import (
     _base_jacobi,
@@ -83,6 +84,39 @@ def test_newton_rule_matches_chebyshev_closed_forms(alpha):
     x_ref, w_ref = _base_jacobi(512, alpha, alpha)
     np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(w, w_ref, rtol=1e-11)
+
+
+def test_rule_table_is_the_builders_output():
+    # every shipped rule, bit for bit
+    data = np.fromfile(sphere._TABLE_PATH, dtype="<f8")
+    assert data.size == sum(2 * k[0] for k in sphere._TABLE_KEYS)
+    assert len(sphere._TABLE_OFFSETS) == len(sphere._TABLE_KEYS) == 50
+    for key, start in sphere._TABLE_OFFSETS.items():
+        order = key[0]
+        x, w = _gauss_jacobi(*key)
+        stale = f"rule {key} differs from the table written with numpy 2.4.6: run `python tools/rule_table.py`"
+        assert np.array_equal(data[start : start + order], x), stale
+        assert np.array_equal(data[start + order : start + 2 * order], w), stale
+
+
+def _no_build(*key):
+    raise AssertionError(f"rule {key} was built, not read from the table")
+
+
+def test_table_keys_are_read_and_other_keys_built(monkeypatch):
+    build = _base_jacobi.__wrapped__  # past the in-process cache
+    expected = {key: _gauss_jacobi(*key) for key in [(100, 1.0, 1.0), (512, 2.0, 2.0)]}
+    monkeypatch.setattr(sphere, "_gauss_jacobi", _no_build)
+    for key in [(512, 6.5, 6.5), (16, 0.0, 0.0), (2048, 6.5, 6.5), (64, 0.0, 0.5)]:
+        x, w = build(*key)
+        assert x.shape == w.shape == (key[0],)
+    for key in expected:  # an order, and a dimension (n = 7), outside the table
+        with pytest.raises(AssertionError, match="was built"):
+            build(*key)
+    monkeypatch.undo()
+    for key, (x_ref, w_ref) in expected.items():
+        x, w = build(*key)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 11])
