@@ -22,6 +22,7 @@ calls=(
   "bound --n=16 --m=8 --r=0.6 --a=0.2,0.1,-0.1,0.05,0,0.1,-0.2,0.1 --b=0.3 --format=json"
   "region --n=3 --m=2 --r=0.5 --a=0.3,-0.2 --b=0.35 --directions=64 --seed=7"
   "region --n=2 --m=1 --r=0.97 --a=0.2 --b=-0.3 --directions=64"
+  "region --n=4 --m=3 --r=0.99 --a=0.2,1e-7,0 --b=0 --directions=100 --seed=3"
   "extremal --n=3 --m=2 --r=0.6 --a=0.25,-0.1 --b=-0.35 --format=csv"
   "extremal --n=2 --m=1 --r=0.5 --a=0.3 --b=0 --format=json"
   "classical --n=3 --r=0.97"

@@ -54,7 +54,6 @@ from .solver import (
     jacobian_RI,
     kernel_inverse,
     kernel_profile,
-    lambda_path_point,
     moments_RI,
     solve_batch,
     solve_positive_b,
@@ -63,7 +62,6 @@ from .solver import (
 from .sphere import (
     BiaxialRule,
     QuadratureRule,
-    biaxial_integrate,
     biaxial_rule,
     poisson_kernel,
     sample_sphere,
@@ -104,7 +102,6 @@ __all__ = [
     "admissible_mixture",
     "axis_bound",
     "axis_values",
-    "biaxial_integrate",
     "biaxial_rule",
     "bordered_dense",
     "bordered_det",
@@ -127,7 +124,6 @@ __all__ = [
     "jacobian_fd_check",
     "kernel_inverse",
     "kernel_profile",
-    "lambda_path_point",
     "mean_value_residual",
     "moments_RI",
     "poisson_kernel",

@@ -34,7 +34,6 @@ from .solver import (
     ProblemSpec,
     jacobian_RI,
     kernel_profile,
-    lambda_path_point,
     moments_RI,
     solve_batch,
 )
@@ -334,7 +333,7 @@ def envelope() -> dict:
 
 
 def limits() -> dict:
-    """Growth in r, the shrink limit, and mass monotonicity in mu."""
+    """Growth in r, the shrink limit, and mu strictly increasing in b."""
     spec_a = np.array([0.3, -0.1])
     rng = np.random.default_rng(602214)
     min_growth = np.inf
@@ -352,9 +351,10 @@ def limits() -> dict:
     center = np.concatenate((tiny.a, [tiny.b]))
     shrink = float((env.values - env.directions @ center).max())
 
-    path_spec = ProblemSpec(n=3, m=2, r=0.5, a=spec_a, b=0.4)
-    masses = [lambda_path_point(path_spec, mu)[1] for mu in np.logspace(-2, 2, 9)]
-    min_step = float(np.diff(masses).min())
+    # geometric toward the ceiling sqrt(1 - |a|^2), where mu grows without bound
+    cap = float(np.sqrt(1.0 - spec_a @ spec_a))
+    sweep = [ProblemSpec(3, 2, 0.5, spec_a, b) for b in cap * (1.0 - np.geomspace(0.9, 1e-4, 9))]
+    min_step = float(np.diff([sol.mu for sol in solve_batch(sweep)]).min())
     return dict(
         passed=min_growth >= -1e-10 and shrink < 1e-3 and min_step > 0.0,
         measured=shrink,
@@ -362,7 +362,7 @@ def limits() -> dict:
         detail=(
             f"smallest growth step of h(e) in r: {min_growth:.3e}; "
             f"shrink gap at r = 1e-3: {shrink:.3e}; "
-            f"smallest mass increment along the mu sweep: {min_step:.3e}"
+            f"smallest mu increment along the b sweep: {min_step:.3e}"
         ),
     )
 

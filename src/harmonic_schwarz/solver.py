@@ -31,8 +31,7 @@ where the term -x is exact (int g dsigma = 1 / (1 - r^2)) and keeps the
 integrand bounded as r -> 1.  The gradient (c1 - R_1, y J - rho),
 J = int dsigma / R, is the moment residual and the Hessian has three
 latitude integrals, so one damped Newton iteration with an Armijo line
-search covers both branches and ``lambda_path_point`` (which holds mu
-fixed as an extra field component).  Its minimizer rotates back to
+search covers both branches.  Its minimizer rotates back to
 lam_j = -y a_j / rho and mu = y b / rho.  The rho = 0 face is solved
 apart: the datum is then sign(t - t*) and t* fixes the cap mass; so is
 rho below 1e-300, whose datum equals the face's to rounding.  Small
@@ -46,15 +45,15 @@ carries its datum's breakpoints and layer, from which ``moments_RI`` and
 
 The minimizer takes K such duals at once, for centers that share n and
 r (``solve_batch``; an envelope's rotated centers are one batch, and
-``solve_positive_b``, ``solve_zero_b`` and ``lambda_path_point`` are
-batches of one).  Each round evaluates the current candidates of all
-rows still iterating in one pass over their concatenated nodes: rows on
-the plain rule share its nodes and g(t), rows with a layer bring their
-own.  Every integral is its row's own segment sum (``np.add.reduceat``
-sums each segment alone, where a BLAS product's bits may depend on the
-rows beside it), the Newton step solves the row's 2x2 Hessian in closed
-form and the Armijo search is the row's own, so a row's bits and its
-evaluation count are the same in any batch.
+``solve_positive_b`` and ``solve_zero_b`` are batches of one).  Each
+round evaluates the current candidates of all rows still iterating in
+one pass over their concatenated nodes: rows on the plain rule share
+its nodes and g(t), rows with a layer bring their own.  Every integral
+is its row's own segment sum (``np.add.reduceat`` sums each segment
+alone, where a BLAS product's bits may depend on the rows beside it),
+the Newton step solves the row's 2x2 Hessian in closed form and the
+Armijo search is the row's own, so a row's bits and its evaluation
+count are the same in any batch.
 Negative b is never solved directly: ``solve_batch`` solves |b| and
 ``datum`` gives the last component the sign of b.  ``datum`` is the one
 writer of the data, for many solutions at once.
@@ -95,7 +94,6 @@ __all__ = [
     "solve_batch",
     "solve_positive_b",
     "solve_zero_b",
-    "lambda_path_point",
 ]
 
 
@@ -555,34 +553,32 @@ def _face_crossing(n: int, c1: float):
 BATCH_ROWS = 64
 
 
-def _dual_terms(spec: ProblemSpec, rule: QuadratureRule, c1, rho, f, x, y):
+def _dual_terms(spec: ProblemSpec, rule: QuadratureRule, c1, rho, x, y):
     """Terms of K reduced duals at the points (x, y), from arrays of shape (K,).
 
-    Returns the rows (q, dq/dx, dq/dy, the Hessian's xx, xy and yy
-    entries, int dsigma/R), shape (7, K), and each point's (breakpoints,
-    layer) from ``_layer_rule`` at the crossing g(t) = x and the kernel's
-    pole.  Points on the plain rule, segmented only at the
-    direction-independent cap breakpoints, share its nodes and g(t),
-    computed once; a point with a layer panel takes its own.  All points
-    are integrated in one ``_field_integrals`` pass over their
-    concatenated nodes, each its own segment, at the field's scale
-    s = |(y, f)|; in its integrals the Hessian is
-    [[P0, (y/s) P1], [(y/s) P1, P2 + (f/s)^2 P0]].  More than
-    ``BATCH_ROWS`` points take several passes, which changes no bit.
+    Returns the rows (q, dq/dx, dq/dy and the Hessian's xx, xy and yy
+    entries), shape (6, K), and each point's (breakpoints, layer) from
+    ``_layer_rule`` at the crossing g(t) = x and the kernel's pole.
+    Points on the plain rule, segmented only at the direction-independent
+    cap breakpoints, share its nodes and g(t), computed once; a point with
+    a layer panel takes its own.  All points are integrated in one
+    ``_field_integrals`` pass over their concatenated nodes, each its own
+    segment, at the field's scale y; in its integrals the gradient is
+    (c1 - int u, y J - rho) and the Hessian [[P0, P1], [P1, P2]].  More
+    than ``BATCH_ROWS`` points take several passes, which changes no bit.
     """
     if x.size > BATCH_ROWS:
         parts = [
-            _dual_terms(spec, rule, *(v[k : k + BATCH_ROWS] for v in (c1, rho, f, x, y)))
+            _dual_terms(spec, rule, *(v[k : k + BATCH_ROWS] for v in (c1, rho, x, y)))
             for k in range(0, x.size, BATCH_ROWS)
         ]
         return np.concatenate([p[0] for p in parts], axis=1), [row_rule for p in parts for row_rule in p[1]]
     r, n = spec.r, spec.n
-    s = np.hypot(y, f)
     cap = _axis_cap_breakpoints(r)
     plain_t, plain_w = segmented_nodes(rule, cap)
     plain_g = None
     rules, g, w = [], [], []
-    for k, t_star in enumerate(_layer_crossings(spec, x, s).tolist()):
+    for k, t_star in enumerate(_layer_crossings(spec, x, y).tolist()):
         if math.isnan(t_star):
             if plain_g is None:
                 plain_g = kernel_profile(r, n, plain_t)
@@ -590,21 +586,19 @@ def _dual_terms(spec: ProblemSpec, rule: QuadratureRule, c1, rho, f, x, y):
             g.append(plain_g)
             w.append(plain_w)
         else:
-            breaks, layer = _layer_rule(spec, float(x[k]), float(s[k]), t_star)
+            breaks, layer = _layer_rule(spec, float(x[k]), float(y[k]), t_star)
             t, w_k = segmented_nodes(rule, breaks, layer)
             rules.append((breaks, layer))
             g.append(kernel_profile(r, n, t))
             w.append(w_k)
-    excess, moment, s0, p0, p1, p2 = _field_integrals(g, w, [layer for _, layer in rules], x, s)
-    cos, sin = y / s, f / s  # exactly 1 and 0 at f = 0, as y > 0
+    excess, moment, inv_r, p0, p1, p2 = _field_integrals(g, w, [layer for _, layer in rules], x, y)
     q = x * (c1 - 1.0) - y * rho + excess
-    grad = c1 - moment, y * s0 - rho
-    return np.array([q, *grad, p0, cos * p1, p2 + sin * sin * p0, s0]), rules
+    return np.array([q, c1 - moment, y * inv_r - rho, p0, p1, p2]), rules
 
 
-def _minimize_dual(spec, rule, c1, rho, f, x, y):
-    """Minimize K reduced duals, of the centers (c1, rho) with fixed field
-    components f, from the points (x, y); arrays of shape (K,).
+def _minimize_dual(spec, rule, c1, rho, x, y):
+    """Minimize K reduced duals, of the centers (c1, rho), from the points
+    (x, y); arrays of shape (K,).
 
     Damped Newton with Armijo backtracking on q, for every row alone: the
     step solves the row's 2x2 Hessian in closed form and may shrink y to no
@@ -620,7 +614,7 @@ def _minimize_dual(spec, rule, c1, rho, f, x, y):
     (x, y), each row's (breakpoints, layer), evaluations, Newton steps).
     """
     x, y = np.array(x, dtype=float), np.array(y, dtype=float)
-    terms, rules = _dual_terms(spec, rule, c1, rho, f, x, y)
+    terms, rules = _dual_terms(spec, rule, c1, rho, x, y)
     count = x.size
     evaluations, steps, halvings = (np.zeros(count, dtype=int) for _ in range(3))
     evaluations += 1
@@ -629,7 +623,7 @@ def _minimize_dual(spec, rule, c1, rho, f, x, y):
 
     def newton(rows):
         # the Newton step of each row, or the end of its iteration
-        _, g0, g1, h00, h01, h11 = terms[:6, rows]
+        _, g0, g1, h00, h01, h11 = terms[:, rows]
         with np.errstate(divide="ignore", invalid="ignore"):
             det = h00 * h11 - h01 * h01
             dx, dy = (h01 * g1 - h11 * g0) / det, (h01 * g0 - h00 * g1) / det
@@ -644,7 +638,7 @@ def _minimize_dual(spec, rule, c1, rho, f, x, y):
         rows = np.flatnonzero(searching)
         cx = x[rows] + alpha[rows] * step[0, rows]
         cy = y[rows] + alpha[rows] * step[1, rows]
-        cand, cand_rules = _dual_terms(spec, rule, c1[rows], rho[rows], f[rows], cx, cy)
+        cand, cand_rules = _dual_terms(spec, rule, c1[rows], rho[rows], cx, cy)
         evaluations[rows] += 1
         q, progress = terms[0, rows], alpha[rows] * decrement[rows]
         accept = (cand[0] <= q - 1e-4 * progress) | (
@@ -716,7 +710,7 @@ def _solve(specs, rule) -> list[LagrangeSolution]:
     if dual:
         c1, rho_d = np.array([specs[k].a[0] for k in dual]), np.array([rho[k] for k in dual])
         x = np.array([_face_level(specs[k]) for k in dual])
-        x, y, terms, rules, evaluations, steps = _minimize_dual(specs[0], rule, c1, rho_d, np.zeros_like(x), x, rho_d * x)
+        x, y, terms, rules, evaluations, steps = _minimize_dual(specs[0], rule, c1, rho_d, x, rho_d * x)
         residual = _residual(terms, np.array([float(np.abs(perps[k]).max()) / rho[k] for k in dual]))
     solved = {k: j for j, k in enumerate(dual)}
     out = []
@@ -809,29 +803,3 @@ def solve_zero_b(spec: ProblemSpec, rule: QuadratureRule | None = None) -> Lagra
     if spec.b != 0.0:
         raise ValueError(f"zero branch requires b = 0, got b={spec.b}")
     return _solve([spec], rule)[0]
-
-
-def lambda_path_point(spec: ProblemSpec, mu: float):
-    """Solve R(lam, mu) = a for lam at a prescribed mu > 0.
-
-    Returns (lam, I).  Sweeping mu and recording I traces the solved
-    manifold on which I is strictly increasing from 0 toward
-    sqrt(1 - |a|^2); the b-target ignores spec.b.  This is the reduced
-    dual with mu as a fixed extra component of the field and
-    rho = |(a_2..a_m)|.
-    """
-    if not mu > 0.0:
-        raise ValueError(f"need mu > 0, got mu={mu}")
-    rule = zonal_rule(spec.n, DEFAULT_ORDER)
-    perp = spec.a[1:]
-    rho = math.hypot(*perp)
-    x = _face_level(spec)
-    row = lambda v: np.array([v], dtype=float)
-    x, y, terms, _, evaluations, _ = _minimize_dual(spec, rule, row(spec.a[0]), row(rho), row(mu), row(x), row(rho * x))
-    spread = float(np.abs(perp).max()) / rho if rho > 0.0 else 0.0
-    _check_residual(float(_residual(terms, spread)[0]), _POSITIVE_B_TOL, int(evaluations[0]))
-    lam = np.zeros(spec.m)
-    lam[0] = x[0]
-    if rho > 0.0:
-        lam[1:] = -y[0] * (perp / rho)
-    return lam, float(mu * terms[6, 0])

@@ -81,7 +81,6 @@ __all__ = [
     "zonal_rule",
     "zonal_integrate",
     "biaxial_rule",
-    "biaxial_integrate",
     "segmented_nodes",
     "segmented_pairs",
     "poisson_kernel",
@@ -379,30 +378,6 @@ def _pairs(t: np.ndarray, w: np.ndarray, inner: QuadratureRule | None):
     t1 = np.repeat(t, inner.order)
     t2 = np.sqrt(np.clip(1.0 - t1 * t1, 0.0, None)) * np.tile(inner.nodes, t.size)
     return t1, t2, np.outer(w, inner.weights).ravel()
-
-
-def _pair_values(profile, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    vals = np.asarray(profile(t1, t2), dtype=float)
-    if vals.shape != t1.shape:
-        vals = np.broadcast_to(vals, t1.shape)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.argmin(np.isfinite(vals)))
-        raise QuadratureError(
-            f"non-finite profile value at node (t1, t2)=({t1[bad]!r}, {t2[bad]!r})"
-        )
-    return vals
-
-
-def biaxial_integrate(rule: BiaxialRule, profile, t1_breakpoints=None) -> float:
-    """Integrate a profile of (t1, t2) against sigma.
-
-    ``t1_breakpoints`` lists jump locations in the t1 variable only
-    (the boundary maps in this package are discontinuous along latitude
-    circles); smooth pieces then get remapped sub-rules as in
-    :func:`zonal_integrate`.
-    """
-    t1, t2, w = segmented_pairs(rule, t1_breakpoints)
-    return float(w @ _pair_values(profile, t1, t2))
 
 
 def segmented_nodes(rule: QuadratureRule, breakpoints=None, panel=None):

@@ -120,6 +120,28 @@ def test_axis_bound_on_the_rho_zero_face_matches_its_closed_form(n, m):
             assert axis_bound(spec).value == pytest.approx(rho_zero_face(n, r, a1), abs=1e-13), (r, a1)
 
 
+def test_every_envelope_value_obeys_the_schwarz_inequality():
+    # |F(x) - k_n(r) F(0)| <= U_n(r) with k_n(r) = (1 - r^2) / (1 + r^2)^(n/2),
+    # the kernel on the equator <omega, x> = 0, and U_n = classical_bound:
+    # h(e) <= k_n(r) <c, e> + U_n(r) in every direction e, sharp as c -> 0,
+    # so only a rounding allowance is granted: the least slack of this draw
+    # is 4.4e-16, at r = 1 - 1.2e-6 and |c| = 1.1e-4
+    rng = np.random.default_rng(20130)
+    least = np.inf
+    for k in range(48):
+        n, m = int(rng.choice([2, 3, 4, 5, 8, 16])), int(rng.integers(1, 9))
+        r = 1.0 - 10.0 ** rng.uniform(-6.0, -0.01)
+        c = rng.normal(size=m + 1)
+        if k % 3 == 0:
+            c[-1] = 0.0
+        c *= 10.0 ** rng.uniform(-4.0, math.log10(0.95)) / np.linalg.norm(c)
+        env = region_envelope(ProblemSpec(n, m, r, c[:-1], c[-1]), count=8, scheme="random", seed=k)
+        k_n = (1.0 - r * r) / (1.0 + r * r) ** (0.5 * n)
+        slack = k_n * (env.directions @ c) + classical_bound(n, r) - env.values
+        least = min(least, float(slack.min()))
+    assert least >= -1e-13
+
+
 def test_classical_bound_limits_and_monotonicity():
     assert classical_bound(3, 0.999) > 0.97  # saturates toward 1
     assert 0.0 < classical_bound(3, 1e-3) < 5e-3  # collapses at the center

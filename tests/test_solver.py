@@ -14,7 +14,6 @@ from harmonic_schwarz import (
     jacobian_RI,
     kernel_inverse,
     kernel_profile,
-    lambda_path_point,
     moments_RI,
     solve_positive_b,
     solve_zero_b,
@@ -219,7 +218,7 @@ def test_moments_and_jacobian_match_the_reduced_dual_on_its_rule(r):
     x = kernel_profile(r, 4, np.append(rng.uniform(-0.9, 0.9, size=6), 0.3))
     y = x * np.append(rng.uniform(0.01, 2.0, size=6), 1e-12)
     c1 = rng.uniform(-0.5, 0.5, size=x.size)
-    terms, rules = _dual_terms(spec, rule, c1, np.full(x.size, 0.4), np.zeros(x.size), x, y)
+    terms, rules = _dual_terms(spec, rule, c1, np.full(x.size, 0.4), x, y)
     assert rules[-1][1] is not None
     for k in range(x.size):
         direction = rng.normal(size=3)
@@ -227,8 +226,10 @@ def test_moments_and_jacobian_match_the_reduced_dual_on_its_rule(r):
         lam, mu = np.append(x[k], -y[k] * direction[:2]), float(y[k] * direction[2])
         moved, mass = moments_RI(spec, lam, mu, rule, *rules[k])
         jac = jacobian_RI(spec, lam, mu, rule, *rules[k])
+        t, w = segmented_nodes(rule, *rules[k])
+        inv_r = _field_integrals([kernel_profile(r, 4, t)], [w], [rules[k][1]], x[k : k + 1], y[k : k + 1])[2][0]
         assert moved[0] == pytest.approx(c1[k] - terms[1, k], rel=1e-14)
-        assert math.hypot(*moved[1:], mass) == pytest.approx(y[k] * terms[6, k], rel=1e-14)
+        assert math.hypot(*moved[1:], mass) == pytest.approx(y[k] * inv_r, rel=1e-14)
         assert -jac[0, 0] == pytest.approx(terms[3, k], rel=1e-14)
 
 
@@ -430,11 +431,23 @@ def test_solver_error_carries_residual(monkeypatch):
     assert err.value.iterations > 0
 
 
-def test_mass_increases_along_solved_path():
-    spec = ProblemSpec(n=3, m=2, r=0.5, a=np.array([0.3, -0.1]), b=0.4)
-    masses = [lambda_path_point(spec, mu)[1] for mu in np.logspace(-2, 2, 7)]
-    assert np.all(np.diff(masses) > 0)
-    assert masses[-1] < np.sqrt(1.0 - 0.3**2 - 0.1**2)
+@pytest.mark.parametrize(
+    "n, m, r, a",
+    [
+        (3, 2, 0.5, (0.3, -0.1)),
+        (16, 8, 0.6, (0.2, 0.1, -0.1, 0.05, 0.0, 0.1, -0.2, 0.1)),
+        (2, 1, 0.999, (0.4,)),
+    ],
+    ids=["3-2", "16-8", "2-1"],
+)
+def test_mu_increases_with_b_up_to_its_ceiling(n, m, r, a):
+    # the solved path's lemma: mu strictly increases with b, from b = 1e-12
+    # to 1e-9 below the ceiling sqrt(1 - |a|^2)
+    a = np.array(a)
+    cap = math.sqrt(1.0 - a @ a)
+    b = np.concatenate((np.geomspace(1e-12, 0.5 * cap, 12), cap - np.geomspace(0.5 * cap, 1e-9, 12)[1:]))
+    mus = [sol.mu for sol in solve_batch([ProblemSpec(n, m, r, a, v) for v in b])]
+    assert np.all(np.diff(mus) > 0.0)
 
 
 # --------------------------------------------------------------------------

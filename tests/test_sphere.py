@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from harmonic_schwarz import (
     QuadratureError,
-    biaxial_integrate,
     biaxial_rule,
     poisson_kernel,
     sample_sphere,
@@ -313,9 +312,8 @@ def test_segmented_pairs_match_the_unsegmented_biaxial_rule(n):
     if n == 2:
         np.testing.assert_allclose(t1 * t1 + t2 * t2, 1.0, atol=1e-15)
     profile = lambda a, b: np.exp(0.7 * a - 0.4 * b) + a * b * b
-    plain = biaxial_integrate(rule, profile)
-    assert w @ profile(t1, t2) == pytest.approx(plain, abs=1e-14)
-    assert biaxial_integrate(rule, profile, t1_breakpoints=(-0.4, 0.2)) == pytest.approx(plain, abs=1e-14)
+    p1, p2, pw = segmented_pairs(rule)
+    assert w @ profile(t1, t2) == pytest.approx(pw @ profile(p1, p2), abs=1e-14)
 
 
 def test_non_finite_profile_reports_node():
@@ -357,15 +355,16 @@ def test_poisson_normalization_random_dims(seed):
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_biaxial_constants_and_odd_terms(n):
     rule = biaxial_rule(n)
-    assert biaxial_integrate(rule, lambda t1, t2: np.ones_like(t1)) == pytest.approx(1.0, abs=1e-10)
-    assert abs(biaxial_integrate(rule, lambda t1, t2: t1)) < 1e-10
-    assert abs(biaxial_integrate(rule, lambda t1, t2: t1 * t2)) < 1e-10
+    t1, t2, w = rule.t1, rule.t2, rule.weights
+    assert w @ np.ones_like(t1) == pytest.approx(1.0, abs=1e-10)
+    assert abs(w @ t1) < 1e-10
+    assert abs(w @ (t1 * t2)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_biaxial_matches_zonal_on_t1_profiles(n):
     rule = biaxial_rule(n)
-    got = biaxial_integrate(rule, lambda t1, t2: t1 * t1)
+    got = rule.weights @ (rule.t1 * rule.t1)
     assert got == pytest.approx(1.0 / n, abs=1e-10)
 
 
