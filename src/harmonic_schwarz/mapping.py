@@ -207,14 +207,16 @@ def _default_biaxial(n: int, order: int) -> BiaxialRule:
 
 # Kernel values per block of eval_batch: at most 2^16 doubles (512 KB),
 # formed in two buffers made once per call and reused by every block.
-# Fresh arrays of 2e6 values (16 MB) per block were mapped and handed
-# back to the OS by glibc on every block: the interior workload's cloud
-# calls ran at 2,040 points/s with 66,000 minor faults (2-core x86-64,
-# Python 3.11, numpy 2.4).  With reused buffers they run at 4,200-4,460
-# points/s for any block of 2^13 to 2^17 values (8,200 faults), and at
-# 3,940 for 2^18, which outgrows the cache; fresh arrays of 2^16 and
-# 2^17 values gave 3,590 and 3,040, so the reuse, not the size alone,
-# keeps the rate clear of glibc's mmap thresholds.
+# Measured on the interior workload's cloud calls (16 calls, 10,304
+# points, seed 21; 2-core x86-64, Python 3.11.7, numpy 2.4.6, one BLAS
+# thread): reused buffers run at 5,900-6,100 points/s for blocks of 2^13
+# to 2^15 values, 6,200-6,400 at 2^16 (13,700 minor faults), 7,200-7,300
+# at 2^17, where the 65,536-node jump rules take two points a block, and
+# 5,900-6,150 at 2^18, which outgrows the cache.  Fresh arrays per block
+# gave 5,800-6,000 at 2^16 and 6,500-6,750 at 2^17, with 1.6-1.7 times
+# the faults, and 3,990 at 2^21 (16 MB, 155,000 faults): glibc maps and
+# unmaps blocks that large on every block, so the reuse keeps the rate
+# clear of its mmap thresholds.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -238,6 +240,27 @@ def _polar(points: np.ndarray, n: int):
     return np.where(origin, 0.0, rho), cos_t, sin_t
 
 
+def _inverse_power(base: np.ndarray, n: int, work: np.ndarray) -> None:
+    """Overwrite base with base ** (-n/2); work, of base's shape, is scratch.
+
+    base^(n//2) by squarings, times sqrt(base) for odd n, then one
+    division.  On 65,536 values pow took 130 us, a multiply 23, a
+    division 33 and a square root 50, so n = 4 costs 56 us and n = 3 105.
+    """
+    power = base
+    for bit in f"{n // 2:b}"[1:]:
+        np.multiply(power, power, out=work)
+        power = work
+        if bit == "1":
+            np.multiply(power, base, out=work)
+    if n % 2:
+        root = work if power is base else base
+        np.sqrt(base, out=root)
+        np.multiply(power, root, out=base)
+        power = base
+    np.divide(1.0, power, out=base)
+
+
 def eval_batch(bmap: BoundaryMap, points: np.ndarray, rule: BiaxialRule | None = None) -> np.ndarray:
     """Poisson extension at many interior points, shape (B, m+1).
 
@@ -246,9 +269,17 @@ def eval_batch(bmap: BoundaryMap, points: np.ndarray, rule: BiaxialRule | None =
     batch and only the kernel is re-evaluated.  Every point is checked
     (finite, |x| < 1) and decomposed in one pass; the kernel is then
     formed in blocks of at most ``_BLOCK_VALUES`` values, in two buffers
-    made once per call and reused by every block: fresh per-block arrays
-    of many megabytes went back to the OS and were faulted in again on
-    every block, about half the call's time.
+    made once per call and reused by every block (fresh 16 MB blocks ran
+    the interior workload's cloud calls at 3,990 points/s against 6,300).
+    Each block takes the projections as one (rows x 2) @ (2 x nodes)
+    product and the power -n/2 by ``_inverse_power``; libm's pow was
+    about half of the call.  2,048 points at n = 3, r = 0.5 take 0.21 s
+    on a smooth datum and 0.48 s on a jump (0.27 s and 0.59 s with pow).
+
+    The rule has no grading toward the point, so accuracy fails near the
+    sphere without any flag: against a 1024 x 512 biaxial rule the values
+    are off by about 4e-12 at |x| = 0.9, 4e-6 at 0.95 and 1e-3 at 0.97
+    (n = 3; n = 4 about five times more), until ROADMAP item 2 lands.
     """
     n = bmap.spec.n
     rho, cos_t, sin_t = _polar(np.asarray(points, dtype=float), n)
@@ -258,19 +289,18 @@ def eval_batch(bmap: BoundaryMap, points: np.ndarray, rule: BiaxialRule | None =
     comps = bmap.components(t1)  # (m+1, K)
     out = np.empty((rho.size, bmap.spec.m + 1))
     rows = max(1, min(rho.size, _BLOCK_VALUES // max(t1.size, 1)))
-    kern_buf, part_buf = np.empty((rows, t1.size)), np.empty((rows, t1.size))
+    kern_buf, work_buf = np.empty((rows, t1.size)), np.empty((rows, t1.size))
+    angles, nodes = np.column_stack((cos_t, sin_t)), np.stack((t1, t2))
     # base arranged as (1-rho)^2 + 2 rho (1-proj): stable near the pole
     gap2, twice, mass = (1.0 - rho) ** 2, 2.0 * rho, 1.0 - rho * rho
     for start in range(0, rho.size, rows):
         block = slice(start, min(start + rows, rho.size))
-        kern, part = kern_buf[: block.stop - start], part_buf[: block.stop - start]
-        np.multiply(cos_t[block, None], t1, out=kern)
-        np.multiply(sin_t[block, None], t2, out=part)
-        np.add(kern, part, out=kern)  # proj = <omega, x> / rho
+        kern, work = kern_buf[: block.stop - start], work_buf[: block.stop - start]
+        np.matmul(angles[block], nodes, out=kern)  # proj = <omega, x> / rho
         np.subtract(1.0, kern, out=kern)
         np.multiply(twice[block, None], kern, out=kern)
         np.add(gap2[block, None], kern, out=kern)
-        kern **= -0.5 * n
+        _inverse_power(kern, n, work)
         np.multiply(mass[block, None], kern, out=kern)
         np.multiply(kern, w, out=kern)
         out[block] = kern @ comps.T
@@ -278,7 +308,13 @@ def eval_batch(bmap: BoundaryMap, points: np.ndarray, rule: BiaxialRule | None =
 
 
 def eval_general(bmap: BoundaryMap, x) -> MapEvaluation:
-    """Poisson extension at an arbitrary interior point."""
+    """Poisson extension at an arbitrary interior point.
+
+    The value is ``eval_batch``'s, with its silent error near the sphere
+    (about 4e-12 at |x| = 0.9, 4e-6 at 0.95, 1e-3 at 0.97).  The estimate
+    compares it with a half-order rule and does not track that error: it
+    reads 1e-6 to 3e-6 at 0.9 and 1e-3 to 3e-3 at 0.95 (n = 3).
+    """
     n = bmap.spec.n
     rule = _default_biaxial(n, bmap.rule.order)
     x = np.asarray(x, dtype=float)

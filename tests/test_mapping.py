@@ -21,7 +21,7 @@ from harmonic_schwarz.mapping import (
 )
 from harmonic_schwarz.oracle import mean_value_residual
 from harmonic_schwarz.solver import _axis_cap_breakpoints
-from harmonic_schwarz.sphere import segmented_nodes, segmented_pairs
+from harmonic_schwarz.sphere import biaxial_rule, segmented_nodes, segmented_pairs
 
 
 @lru_cache(maxsize=8)
@@ -215,12 +215,26 @@ def direct_poisson_sum(bm, points):
     return out
 
 
+# Odd n takes a square root; n // 2 = 3 at n = 7 takes a multiply between squarings
+ODD_AND_HIGH_N = {
+    "n3_smooth": ((3, 2, 0.55, (0.3, -0.2), 0.4), 40),
+    "n5_jump": ((5, 1, 0.5, (0.3,), 0.0), 20),
+    "n7_smooth": ((7, 2, 0.5, (0.2, 0.1), 0.3), 20),
+    "n16_smooth": ((16, 1, 0.5, (0.2,), 0.4), 20),
+}
+
+
 @pytest.mark.parametrize(
-    "case", ["n4_jump_several_blocks", "n2_angular", "origin", "one_point", "empty"]
+    "case",
+    ["n4_jump_several_blocks", "n2_angular", *ODD_AND_HIGH_N, "origin", "one_point", "empty"],
 )
 def test_blocked_evaluation_matches_a_direct_poisson_sum(case):
     if case == "n2_angular":
         bm, points = cached_map(2, 1, 0.5, (0.0,), 0.0), ball_points(2, 300, 1)
+    elif case in ODD_AND_HIGH_N:
+        args, count = ODD_AND_HIGH_N[case]
+        bm = cached_map(*args)
+        points = ball_points(bm.spec.n, count, 5)
     else:
         bm = jump_map_n4()
         count = {"n4_jump_several_blocks": 7, "origin": 1, "one_point": 1, "empty": 0}[case]
@@ -235,6 +249,35 @@ def test_blocked_evaluation_matches_a_direct_poisson_sum(case):
     np.testing.assert_allclose(got, direct_poisson_sum(bm, points), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_inverse_power_matches_pow(n):
+    base = np.geomspace(1e-4, 4.0, 24).reshape(2, 12)  # (1 - rho)^2 + 2 rho (1 - proj) spans (0, 4]
+    got, work = base.copy(), np.empty_like(base)
+    mapping._inverse_power(got, n, work)
+    np.testing.assert_allclose(got, base ** (-0.5 * n), rtol=4e-15, atol=0)
+
+
+@pytest.mark.parametrize("args", [
+    (3, 2, 0.55, (0.3, -0.2), 0.4),
+    (3, 1, 0.5, (0.25,), 0.0),
+    (4, 2, 0.5, (0.25, -0.1), 0.35),
+    (4, 1, 0.45, (0.5,), 0.0),
+])
+def test_off_axis_values_match_a_fine_biaxial_rule(args):
+    # the default rule's error grows toward the sphere: 2e-11 at |x| = 0.9,
+    # 1e-5 at 0.95 (ROADMAP item 2), so this pins it where it is still small
+    bm = cached_map(*args)
+    n = bm.spec.n
+    fine = biaxial_rule(n, 1024, 512)
+    dirs = np.random.default_rng(7).normal(size=(6, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    for radius in (0.8, 0.9):
+        points = radius * dirs
+        np.testing.assert_allclose(
+            eval_batch(bm, points), eval_batch(bm, points, fine), rtol=0, atol=1e-10
+        )
+
+
 def test_block_size_does_not_change_values(monkeypatch):
     bm = cached_map(3, 2, 0.55, (0.3, -0.2), 0.4)
     points = ball_points(3, 5, 3)
@@ -246,8 +289,8 @@ def test_block_size_does_not_change_values(monkeypatch):
 
 
 def test_blocked_evaluation_keeps_its_temporaries_small():
-    # one 644-point call on a 65,536-node rule: per-call temporaries of
-    # 16 MB blocks peaked at 62.5 MiB, two reused 512 KB buffers at 3.5 MiB
+    # one 644-point call on a 65,536-node rule: fresh 16 MB blocks peak at
+    # 99.5 MiB; two reused 512 KB buffers and the 1 MiB (t1, t2) pair at 4.6 MiB
     bm = jump_map_n4()
     points = ball_points(4, 644, 4)
     eval_batch(bm, points[:1])  # build the rule outside the measurement
