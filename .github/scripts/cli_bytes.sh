@@ -30,6 +30,7 @@ calls=(
   "extremal --n=3 --m=2 --r=0.5 --a=0.3,0 --b=1e-9 --nodes=5 --format=json"
   "bound --n=2 --m=1 --r=0.5 --a=0.9 --b=0.5"
   "verify --suite moments,jacobian,signs"
+  "verify --suite harmonicity"
 )
 outdir=$(mktemp -d)
 trap 'rm -rf "$outdir"' EXIT

@@ -16,10 +16,14 @@ The harmonic extension is the Poisson integral against
 (1 - |x|^2)/|x - omega|^n.  On the polar axis it reduces to a zonal
 integral of kernel_profile(|x|, n, t) times the datum; at a general
 point x = rho (cos(theta) N + sin(theta) e) it reduces to a biaxial
-integral, since |x - omega|^2 = 1 + rho^2 - 2 rho (t1 cos(theta)
-+ t2 sin(theta)).  Latitude jumps of the datum and, for r > 0.95, the
-polar cap where the kernel concentrates reach the rules as breakpoints,
-a thin turnover layer as its own sinh-mapped panel (``solver.Layer``).
+integral over omega's latitude t and inner coordinate s, with
+<omega, e> = sqrt(1 - t^2) s (``sphere.BiaxialRule``), since |x - omega|^2
+= c - d s for c = (1 - rho)^2 + 2 rho (1 - cos(theta) t) and d = 2 rho
+sin(theta) sqrt(1 - t^2).  The datum depends on t alone, so the kernel is
+summed over s first and meets the datum at the latitude nodes only.
+Latitude jumps of the datum and, for r > 0.95, the polar cap where the
+kernel concentrates reach the rules as breakpoints, a thin turnover layer
+as its own sinh-mapped panel (``solver.Layer``).
 
 Each single-center path is the batch of one: ``boundary_map`` is
 ``boundary_maps`` of one spec, and ``eval_on_axis`` and ``axis_values``
@@ -52,7 +56,7 @@ from .sphere import (
     QuadratureRule,
     biaxial_rule,
     segmented_nodes,
-    segmented_pairs,
+    segmented_outer,
     zonal_rule,
 )
 
@@ -209,14 +213,14 @@ def _default_biaxial(n: int, order: int) -> BiaxialRule:
 # formed in two buffers made once per call and reused by every block.
 # Measured on the interior workload's cloud calls (16 calls, 10,304
 # points, seed 21; 2-core x86-64, Python 3.11.7, numpy 2.4.6, one BLAS
-# thread): reused buffers run at 5,900-6,100 points/s for blocks of 2^13
-# to 2^15 values, 6,200-6,400 at 2^16 (13,700 minor faults), 7,200-7,300
-# at 2^17, where the 65,536-node jump rules take two points a block, and
-# 5,900-6,150 at 2^18, which outgrows the cache.  Fresh arrays per block
-# gave 5,800-6,000 at 2^16 and 6,500-6,750 at 2^17, with 1.6-1.7 times
-# the faults, and 3,990 at 2^21 (16 MB, 155,000 faults): glibc maps and
-# unmaps blocks that large on every block, so the reuse keeps the rate
-# clear of its mmap thresholds.
+# thread), three sweeps: 5,440-6,280 points/s for blocks of 2^13 to 2^15
+# values, 6,070-6,350 at 2^16, 5,690-6,070 at 2^17, where the 65,536-pair
+# jump rules take two points a block, and 4,830-5,340 at 2^18, which
+# outgrows the cache; no size faulted after the first sweep.  On expanded
+# rules 2^16 ran at 4,690-4,780 (13,700 minor faults a sweep) and 2^17 at
+# 5,260-5,340.  Fresh 16 MB blocks once ran at 3,990 points/s against
+# 6,300 with reuse: glibc maps and unmaps blocks that large on every
+# block, so the reuse keeps the rate clear of its mmap thresholds.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -264,46 +268,57 @@ def _inverse_power(base: np.ndarray, n: int, work: np.ndarray) -> None:
 def eval_batch(bmap: BoundaryMap, points: np.ndarray, rule: BiaxialRule | None = None) -> np.ndarray:
     """Poisson extension at many interior points, shape (B, m+1).
 
-    Values depend on each point only through (|x|, <x, N>), so the
-    biaxial nodes and the component profiles are shared across the
-    batch and only the kernel is re-evaluated.  Every point is checked
-    (finite, |x| < 1) and decomposed in one pass; the kernel is then
-    formed in blocks of at most ``_BLOCK_VALUES`` values, in two buffers
-    made once per call and reused by every block (fresh 16 MB blocks ran
-    the interior workload's cloud calls at 3,990 points/s against 6,300).
-    Each block takes the projections as one (rows x 2) @ (2 x nodes)
-    product and the power -n/2 by ``_inverse_power``; libm's pow was
-    about half of the call.  2,048 points at n = 3, r = 0.5 take 0.21 s
-    on a smooth datum and 0.48 s on a jump (0.27 s and 0.59 s with pow).
+    Values depend on each point only through (|x|, <x, N>), so the rule's
+    factors and the datum on its latitude nodes (512 for a jump rule of
+    65,536 node pairs) are shared across the batch.  Every point is
+    checked (finite, |x| < 1) and decomposed in one pass; the kernel is
+    then formed in blocks of at most ``_BLOCK_VALUES`` values, laid out
+    (points, inner, latitude) in two buffers made once per call and
+    reused by every block.  A block makes six passes over its buffer at
+    n = 3 and five at n = 4: two broadcasts form c - d s, then the power
+    -n/2 by ``_inverse_power`` and one product with the inner weights.
+    2,048 points at n = 3, r = 0.5 take 0.26 s on a smooth datum and
+    0.46 s on a jump, against 0.28 s and 0.60 s on the expanded rule
+    (n = 4: 0.20 s and 0.33 s against 0.23 s and 0.51 s).  n = 2, whose
+    inner rule has two nodes, pays for forming c and d beside a buffer
+    only twice their size: 8.1-8.6 ms for 2,000 points against 7.6-7.7.
 
     The rule has no grading toward the point, so accuracy fails near the
     sphere without any flag: against a 1024 x 512 biaxial rule the values
     are off by about 4e-12 at |x| = 0.9, 4e-6 at 0.95 and 1e-3 at 0.97
     (n = 3; n = 4 about five times more), until ROADMAP item 2 lands.
+    ``rule`` must be of the map's dimension.
     """
     n = bmap.spec.n
-    rho, cos_t, sin_t = _polar(np.asarray(points, dtype=float), n)
     if rule is None:
         rule = _default_biaxial(n, bmap.rule.order)
-    t1, t2, w = segmented_pairs(rule, bmap.breakpoints, bmap.layer)
-    comps = bmap.components(t1)  # (m+1, K)
+    elif rule.n != n:
+        raise ValueError(f"a biaxial rule of dimension {rule.n} cannot evaluate a map of dimension {n}")
+    rho, cos_t, sin_t = _polar(np.asarray(points, dtype=float), n)
+    t, w = segmented_outer(rule, bmap.breakpoints, bmap.layer)
+    s, v = rule.inner.nodes, rule.inner.weights
+    wu = (w * bmap.components(t)).T  # (latitude, m+1): the weighted datum
+    root = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+    one_t, lead = np.stack((np.ones(t.size), t)), np.column_stack((np.ones(rho.size), -cos_t))
     out = np.empty((rho.size, bmap.spec.m + 1))
-    rows = max(1, min(rho.size, _BLOCK_VALUES // max(t1.size, 1)))
-    kern_buf, work_buf = np.empty((rows, t1.size)), np.empty((rows, t1.size))
-    angles, nodes = np.column_stack((cos_t, sin_t)), np.stack((t1, t2))
-    # base arranged as (1-rho)^2 + 2 rho (1-proj): stable near the pole
+    rows = max(1, min(rho.size, _BLOCK_VALUES // (s.size * t.size)))
+    kern_buf, work_buf = np.empty((2, rows, s.size, t.size))
+    c_buf, d_buf = np.empty((2, rows, t.size))
+    # c = (1-rho)^2 + 2 rho (1 - cos t), arranged to stay stable near the pole
     gap2, twice, mass = (1.0 - rho) ** 2, 2.0 * rho, 1.0 - rho * rho
     for start in range(0, rho.size, rows):
         block = slice(start, min(start + rows, rho.size))
-        kern, work = kern_buf[: block.stop - start], work_buf[: block.stop - start]
-        np.matmul(angles[block], nodes, out=kern)  # proj = <omega, x> / rho
-        np.subtract(1.0, kern, out=kern)
-        np.multiply(twice[block, None], kern, out=kern)
-        np.add(gap2[block, None], kern, out=kern)
+        size = block.stop - start
+        kern, work, c, d = kern_buf[:size], work_buf[:size], c_buf[:size], d_buf[:size]
+        np.matmul(lead[block], one_t, out=c)  # 1 - cos t
+        np.multiply(twice[block, None], c, out=c)
+        np.add(gap2[block, None], c, out=c)
+        np.multiply.outer(twice[block] * sin_t[block], root, out=d)
+        np.multiply(d[:, None, :], s[:, None], out=kern)
+        np.subtract(c[:, None, :], kern, out=kern)
         _inverse_power(kern, n, work)
-        np.multiply(mass[block, None], kern, out=kern)
-        np.multiply(kern, w, out=kern)
-        out[block] = kern @ comps.T
+        np.matmul(v, kern, out=c)  # sum over the inner nodes
+        out[block] = (c @ wu) * mass[block, None]
     return out
 
 
@@ -313,7 +328,9 @@ def eval_general(bmap: BoundaryMap, x) -> MapEvaluation:
     The value is ``eval_batch``'s, with its silent error near the sphere
     (about 4e-12 at |x| = 0.9, 4e-6 at 0.95, 1e-3 at 0.97).  The estimate
     compares it with a half-order rule and does not track that error: it
-    reads 1e-6 to 3e-6 at 0.9 and 1e-3 to 3e-3 at 0.95 (n = 3).
+    reads 1e-6 to 3e-6 at 0.9 and 1e-3 to 3e-3 at 0.95 (n = 3).  On the
+    rules' factors a point takes 0.3 ms (n = 3, smooth), against 1.7-2.0
+    ms when each call expanded its rule to node pairs.
     """
     n = bmap.spec.n
     rule = _default_biaxial(n, bmap.rule.order)

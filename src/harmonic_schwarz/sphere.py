@@ -26,7 +26,7 @@ integrand that occurs:
   substitution t2 = sqrt(1 - t1^2) * w factorizes it into the zonal
   weights of dimensions n and n-1.  A tensor product of two 1-D rules
   therefore applies for n >= 3; on the circle (n = 2) the pair lives on
-  t1^2 + t2^2 = 1: an angular rule, or t1 nodes with t2 = +-sqrt(1 - t1^2).
+  t1^2 + t2^2 = 1, and the inner rule is w = +-1 at half weight.
 
 Gauss rules lose all accuracy across a jump, so profiles with known
 discontinuities must be integrated piecewise: callers pass the jump
@@ -82,6 +82,7 @@ __all__ = [
     "zonal_integrate",
     "biaxial_rule",
     "segmented_nodes",
+    "segmented_outer",
     "segmented_pairs",
     "poisson_kernel",
     "sample_sphere",
@@ -334,47 +335,61 @@ def zonal_integrate(rule: QuadratureRule, profile, breakpoints=None) -> float:
 class BiaxialRule:
     """Joint rule in (t1, t2) = (<omega,N>, <omega,e>) for orthonormal N, e.
 
-    Node pairs satisfy t1^2 + t2^2 <= 1 (with equality exactly when
-    n = 2, where the pair lives on the circle) and the weights sum to
-    one.  For n >= 3 the rule is a tensor product: ``inner`` is the
-    w-rule used in t2 = sqrt(1-t1^2) * w, and it is reused when a
-    t1-piecewise version of the rule is needed.
+    A product of two factors: the latitude rule ``outer`` in t1 and the
+    rule ``inner`` in s, with t2 = sqrt(1 - t1^2) * s.  For n >= 3,
+    ``inner`` is the zonal rule of dimension n-1; on the circle (n = 2)
+    it is the zonal rule of S^0, s = -1, +1 at weight 1/2, so the pairs
+    lie on t1^2 + t2^2 = 1.  ``outer_order`` is the order that a
+    t1-piecewise version of the rule gives each piece
+    (``segmented_outer``).  ``t1``, ``t2`` and ``weights`` expand the
+    product on each access, node pairs t1-major.
     """
 
     n: int
-    t1: np.ndarray
-    t2: np.ndarray
-    weights: np.ndarray
+    outer: QuadratureRule
+    inner: QuadratureRule
     outer_order: int
-    inner: QuadratureRule | None = None
 
     @property
     def size(self) -> int:
-        return self.t1.size
+        return self.outer.order * self.inner.order
+
+    @property
+    def t1(self) -> np.ndarray:
+        return _pairs(self.outer.nodes, self.outer.weights, self.inner)[0]
+
+    @property
+    def t2(self) -> np.ndarray:
+        return _pairs(self.outer.nodes, self.outer.weights, self.inner)[1]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _pairs(self.outer.nodes, self.outer.weights, self.inner)[2]
 
 
 @lru_cache(maxsize=64)
 def biaxial_rule(n: int, order: int = 256, inner_order: int | None = None) -> BiaxialRule:
-    """Tensor (n >= 3) or angular (n = 2) rule for biaxial profiles."""
+    """Tensor rule for biaxial profiles: ``zonal_rule(n, order)`` times
+    ``zonal_rule(n - 1, inner_order)`` (default ``order``) for n >= 3.
+
+    On the circle the outer factor is ``zonal_rule(2, 2 * order)``, a
+    Chebyshev rule whose nodes with s = +-1 are 4 * order equally spaced
+    angles, so a Poisson kernel of radius rho is off by about
+    rho^(4 * order).
+    """
     if n < 2:
         raise QuadratureError(f"sphere dimension needs n >= 2, got n={n}")
     if n == 2:
-        count = 4 * order  # angular nodes are cheap; match tensor accuracy
-        phi = 2.0 * np.pi * np.arange(count) / count
-        pairs, inner = (np.cos(phi), np.sin(phi), np.full(count, 1.0 / count)), None
+        half = _freeze([0.5, 0.5])
+        outer, inner = zonal_rule(2, 2 * order), QuadratureRule(1, _freeze([-1.0, 1.0]), half)
     else:
         outer = zonal_rule(n, order)
         inner = zonal_rule(n - 1, inner_order if inner_order is not None else order)
-        pairs = _pairs(outer.nodes, outer.weights, inner)
-    return BiaxialRule(n, *map(_freeze, pairs), outer_order=order, inner=inner)
+    return BiaxialRule(n, outer, inner, outer_order=order)
 
 
-def _pairs(t: np.ndarray, w: np.ndarray, inner: QuadratureRule | None):
-    """(t1, t2, weights) over the t1 rule (t, w): ``inner`` in t2 = sqrt(1 - t1^2) s,
-    or on the circle (no inner rule) t2 = +-sqrt(1 - t1^2) at half weight."""
-    if inner is None:
-        t2 = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-        return np.concatenate((t, t)), np.concatenate((t2, -t2)), 0.5 * np.concatenate((w, w))
+def _pairs(t: np.ndarray, w: np.ndarray, inner: QuadratureRule):
+    """(t1, t2, weights) of the t1 rule (t, w) times ``inner`` in t2 = sqrt(1 - t1^2) s."""
     t1 = np.repeat(t, inner.order)
     t2 = np.sqrt(np.clip(1.0 - t1 * t1, 0.0, None)) * np.tile(inner.nodes, t.size)
     return t1, t2, np.outer(w, inner.weights).ravel()
@@ -421,12 +436,18 @@ def _interior_panels(n: int, edges: list, orders: list) -> list:
     return [(t, _zonal_constant(n) * half * wx * (1.0 - t * t) ** _weight_exponent(n))]
 
 
-def segmented_pairs(rule: BiaxialRule, t1_breakpoints=None, panel=None):
-    """(t1, t2, weights) of a biaxial rule on ``segmented_nodes`` in t1 (see ``_pairs``)."""
+def segmented_outer(rule: BiaxialRule, t1_breakpoints=None, panel=None):
+    """(t, w), the outer factor of a biaxial rule: ``rule.outer`` without
+    breakpoints or panel, else ``segmented_nodes`` of ``zonal_rule(n, outer_order)``."""
     if panel is None and (t1_breakpoints is None or len(np.atleast_1d(t1_breakpoints)) == 0):
-        return rule.t1, rule.t2, rule.weights
-    t, w = segmented_nodes(zonal_rule(rule.n, rule.outer_order), t1_breakpoints, panel)
-    return _pairs(t, w, rule.inner)
+        return rule.outer.nodes, rule.outer.weights
+    return segmented_nodes(zonal_rule(rule.n, rule.outer_order), t1_breakpoints, panel)
+
+
+def segmented_pairs(rule: BiaxialRule, t1_breakpoints=None, panel=None):
+    """(t1, t2, weights) of a biaxial rule on ``segmented_outer`` in t1: the
+    expanded product with ``rule.inner`` (see ``_pairs``)."""
+    return _pairs(*segmented_outer(rule, t1_breakpoints, panel), rule.inner)
 
 
 def poisson_kernel(x, omega, n: int) -> float | np.ndarray:

@@ -90,6 +90,24 @@ def test_importing_the_cli_leaves_the_acceptance_suite_unloaded(tmp_path, subpro
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_cli_builds_no_rule(tmp_path, subprocess_env):
+    # the rule caches fill on first use, so import time stays free of rule builds
+    script = (
+        "import json, harmonic_schwarz.cli\n"
+        "from harmonic_schwarz import mapping, solver, sphere\n"
+        "caches = [sphere.zonal_rule, sphere.biaxial_rule, sphere._base_jacobi,\n"
+        "          mapping._default_biaxial, solver._unit_pieces]\n"
+        "print(json.dumps({f.__qualname__: f.cache_info().currsize for f in caches}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path, env=subprocess_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == dict.fromkeys(
+        ["zonal_rule", "biaxial_rule", "_base_jacobi", "_default_biaxial", "_unit_pieces"], 0
+    )
+
+
 def test_console_help_lists_the_subcommands(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])

@@ -226,11 +226,14 @@ ODD_AND_HIGH_N = {
 
 @pytest.mark.parametrize(
     "case",
-    ["n4_jump_several_blocks", "n2_angular", *ODD_AND_HIGH_N, "origin", "one_point", "empty"],
+    ["n4_jump_several_blocks", "n2_angular", "n2_smooth", *ODD_AND_HIGH_N, "origin", "one_point", "empty"],
 )
 def test_blocked_evaluation_matches_a_direct_poisson_sum(case):
     if case == "n2_angular":
         bm, points = cached_map(2, 1, 0.5, (0.0,), 0.0), ball_points(2, 300, 1)
+    elif case == "n2_smooth":  # the default circle rule, with no breakpoints
+        bm, points = cached_map(2, 1, 0.5, (0.3,), 0.4), ball_points(2, 300, 1)
+        assert bm.breakpoints == () and bm.layer is None
     elif case in ODD_AND_HIGH_N:
         args, count = ODD_AND_HIGH_N[case]
         bm = cached_map(*args)
@@ -247,6 +250,15 @@ def test_blocked_evaluation_matches_a_direct_poisson_sum(case):
     got = eval_batch(bm, points)
     assert got.shape == (len(points), bm.spec.m + 1)
     np.testing.assert_allclose(got, direct_poisson_sum(bm, points), rtol=0, atol=1e-13)
+
+
+def test_batch_evaluation_rejects_a_rule_of_another_dimension():
+    # a circle rule on an n = 4 map gave F_1 = 1.169, outside the unit ball
+    bm = cached_map(4, 2, 0.5, (0.25, -0.1), 0.35)
+    x = np.array([[0.1, 0.2, 0.0, 0.3]])
+    with pytest.raises(ValueError, match="dimension 2 .* dimension 4"):
+        eval_batch(bm, x, biaxial_rule(2, 256))
+    np.testing.assert_allclose(eval_batch(bm, x, biaxial_rule(4, 256, 128))[0, 0], 0.653, atol=5e-4)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -289,8 +301,9 @@ def test_block_size_does_not_change_values(monkeypatch):
 
 
 def test_blocked_evaluation_keeps_its_temporaries_small():
-    # one 644-point call on a 65,536-node rule: fresh 16 MB blocks peak at
-    # 99.5 MiB; two reused 512 KB buffers and the 1 MiB (t1, t2) pair at 4.6 MiB
+    # one 644-point call on a 65,536-pair rule: fresh 16 MB blocks peaked at
+    # 99.5 MiB and the expanded (t1, t2) pairs beside two reused 512 KB
+    # buffers at 4.6 MiB; on the factored rule the call peaks at 1.2 MiB
     bm = jump_map_n4()
     points = ball_points(4, 644, 4)
     eval_batch(bm, points[:1])  # build the rule outside the measurement
@@ -385,7 +398,7 @@ def test_small_b_extension_carries_the_layer_partition():
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("b", [1e-6, 1e-9])
 def test_batch_evaluation_of_thin_layer_maps_matches_the_axis(n, b):
-    # eval_batch takes the layer panel through segmented_pairs; without it
+    # eval_batch takes the layer panel through segmented_outer; without it
     # the b = 1e-6 map was 1e-3 off
     bm = boundary_map(ProblemSpec(n=n, m=2, r=0.5, a=np.array([0.3, 0.0]), b=b))
     assert bm.layer is not None
