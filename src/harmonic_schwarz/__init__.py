@@ -18,14 +18,7 @@ from .bounds import (
     region_envelope,
 )
 from .errors import OracleError, QuadratureError, SolverError
-from .linalg import (
-    BorderedMatrixSpec,
-    bordered_dense,
-    bordered_det,
-    cramer_ratio,
-    rotation_to_pole,
-    taylor_gap,
-)
+from .linalg import bordered_det, rotation_to_pole
 from .mapping import (
     BoundaryMap,
     MapEvaluation,
@@ -85,7 +78,6 @@ def __getattr__(name: str):
 __all__ = [
     "AdmissibleMixture",
     "BiaxialRule",
-    "BorderedMatrixSpec",
     "BoundResult",
     "BoundaryMap",
     "CRITERIA",
@@ -103,7 +95,6 @@ __all__ = [
     "axis_bound",
     "axis_values",
     "biaxial_rule",
-    "bordered_dense",
     "bordered_det",
     "boundary_map",
     "boundary_maps",
@@ -111,7 +102,6 @@ __all__ = [
     "classical_bound",
     "constant_map",
     "constraint_residuals",
-    "cramer_ratio",
     "direction_family",
     "directional_bound",
     "discretized_max",
@@ -134,7 +124,6 @@ __all__ = [
     "solve_batch",
     "solve_positive_b",
     "solve_zero_b",
-    "taylor_gap",
     "zonal_integrate",
     "zonal_rule",
 ]

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+import harmonic_schwarz
 from harmonic_schwarz import ProblemSpec, SolverError, acceptance, solver
 from harmonic_schwarz.bounds import classical_bound
 from harmonic_schwarz.cli import main
@@ -305,6 +306,22 @@ def test_verify_rejects_unknown_suite(capsys):
     code, _, err = run(["verify", "--suite", "bogus"], capsys)
     assert code == 2
     assert "unknown suite" in err
+
+
+def test_verify_rejects_the_retired_taylor_criterion(capsys):
+    code, out, err = run(["verify", "--suite", "taylor"], capsys)
+    assert (code, out) == (2, "")
+    said, offered = err.strip().split("; choose from full, ")
+    assert said == "error: unknown suite name(s) taylor"
+    offered = offered.split(", ")
+    assert offered == [
+        "heinz", "moments", "oracle", "jacobian", "determinants",
+        "signs", "sharpness", "envelope", "limits", "harmonicity",
+    ]
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in harmonic_schwarz.__all__ if not hasattr(harmonic_schwarz, name)] == []
 
 
 @pytest.mark.parametrize("suite", ["", ",", " , "])
