@@ -213,14 +213,13 @@ def _default_biaxial(n: int, order: int) -> BiaxialRule:
 # formed in two buffers made once per call and reused by every block.
 # Measured on the interior workload's cloud calls (16 calls, 10,304
 # points, seed 21; 2-core x86-64, Python 3.11.7, numpy 2.4.6, one BLAS
-# thread), three sweeps: 5,440-6,280 points/s for blocks of 2^13 to 2^15
-# values, 6,070-6,350 at 2^16, 5,690-6,070 at 2^17, where the 65,536-pair
-# jump rules take two points a block, and 4,830-5,340 at 2^18, which
-# outgrows the cache; no size faulted after the first sweep.  On expanded
-# rules 2^16 ran at 4,690-4,780 (13,700 minor faults a sweep) and 2^17 at
-# 5,260-5,340.  Fresh 16 MB blocks once ran at 3,990 points/s against
-# 6,300 with reuse: glibc maps and unmaps blocks that large on every
-# block, so the reuse keeps the rate clear of its mmap thresholds.
+# thread), six sweeps in two orders: 7,750-9,070 points/s for blocks of
+# 2^15 values, 7,840-8,530 at 2^16, 7,660-8,350 at 2^17, where the
+# 65,536-pair jump rules take two points a block, and 6,180-6,810 at
+# 2^18, which outgrows the cache.  Fresh 16 MB blocks once ran at 3,990
+# points/s against 6,300 with reuse: glibc maps and unmaps blocks that
+# large on every block, so the reuse keeps the rate clear of its mmap
+# thresholds.
 _BLOCK_VALUES = 1 << 16
 
 
@@ -273,15 +272,15 @@ def eval_batch(bmap: BoundaryMap, points: np.ndarray, rule: BiaxialRule | None =
     65,536 node pairs) are shared across the batch.  Every point is
     checked (finite, |x| < 1) and decomposed in one pass; the kernel is
     then formed in blocks of at most ``_BLOCK_VALUES`` values, laid out
-    (points, inner, latitude) in two buffers made once per call and
-    reused by every block.  A block makes six passes over its buffer at
-    n = 3 and five at n = 4: two broadcasts form c - d s, then the power
-    -n/2 by ``_inverse_power`` and one product with the inner weights.
-    2,048 points at n = 3, r = 0.5 take 0.26 s on a smooth datum and
-    0.46 s on a jump, against 0.28 s and 0.60 s on the expanded rule
-    (n = 4: 0.20 s and 0.33 s against 0.23 s and 0.51 s).  n = 2, whose
-    inner rule has two nodes, pays for forming c and d beside a buffer
-    only twice their size: 8.1-8.6 ms for 2,000 points against 7.6-7.7.
+    (inner, points x latitude) in two buffers made once per call and
+    reused by every block.  Per block, c and d are formed per (point,
+    latitude) into one (2, points x latitude) buffer; then five passes
+    over the kernel buffer at n = 3 and four at n = 4: c - d s as one
+    product [1, -s] @ [c; d], the power -n/2 by ``_inverse_power`` and
+    one product with the inner weights.  2,048 points at n = 3, r = 0.5
+    take 0.19-0.21 s on a smooth datum and 0.37-0.42 s on a jump (n = 4:
+    0.11-0.14 s and 0.23-0.29 s); 2,000 points at n = 2 take 6.1-8.9 ms,
+    from run to run.
 
     The rule has no grading toward the point, so accuracy fails near the
     sphere without any flag: against a 1024 x 512 biaxial rule the values
@@ -300,24 +299,25 @@ def eval_batch(bmap: BoundaryMap, points: np.ndarray, rule: BiaxialRule | None =
     wu = (w * bmap.components(t)).T  # (latitude, m+1): the weighted datum
     root = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     one_t, lead = np.stack((np.ones(t.size), t)), np.column_stack((np.ones(rho.size), -cos_t))
+    one_s = np.column_stack((np.ones(s.size), -s))  # c - d s = [1, -s] @ [c; d]
     out = np.empty((rho.size, bmap.spec.m + 1))
     rows = max(1, min(rho.size, _BLOCK_VALUES // (s.size * t.size)))
-    kern_buf, work_buf = np.empty((2, rows, s.size, t.size))
-    c_buf, d_buf = np.empty((2, rows, t.size))
+    kern_bufs, cd_buf = np.empty((2, s.size * rows * t.size)), np.empty(2 * rows * t.size)
     # c = (1-rho)^2 + 2 rho (1 - cos t), arranged to stay stable near the pole
     gap2, twice, mass = (1.0 - rho) ** 2, 2.0 * rho, 1.0 - rho * rho
     for start in range(0, rho.size, rows):
         block = slice(start, min(start + rows, rho.size))
         size = block.stop - start
-        kern, work, c, d = kern_buf[:size], work_buf[:size], c_buf[:size], d_buf[:size]
+        cd = cd_buf[: 2 * size * t.size].reshape(2, size, t.size)
+        kern, work = kern_bufs[:, : s.size * size * t.size].reshape(2, s.size, -1)
+        c, d = cd
         np.matmul(lead[block], one_t, out=c)  # 1 - cos t
         np.multiply(twice[block, None], c, out=c)
         np.add(gap2[block, None], c, out=c)
         np.multiply.outer(twice[block] * sin_t[block], root, out=d)
-        np.multiply(d[:, None, :], s[:, None], out=kern)
-        np.subtract(c[:, None, :], kern, out=kern)
+        np.matmul(one_s, cd.reshape(2, -1), out=kern)
         _inverse_power(kern, n, work)
-        np.matmul(v, kern, out=c)  # sum over the inner nodes
+        np.matmul(v, kern, out=c.reshape(-1))  # sum over the inner nodes
         out[block] = (c @ wu) * mass[block, None]
     return out
 

@@ -218,6 +218,7 @@ def direct_poisson_sum(bm, points):
 # Odd n takes a square root; n // 2 = 3 at n = 7 takes a multiply between squarings
 ODD_AND_HIGH_N = {
     "n3_smooth": ((3, 2, 0.55, (0.3, -0.2), 0.4), 40),
+    "n3_jump": ((3, 1, 0.5, (0.3,), 0.0), 20),  # 65,536 pairs, as the interior workload's n = 3 jump witness
     "n5_jump": ((5, 1, 0.5, (0.3,), 0.0), 20),
     "n7_smooth": ((7, 2, 0.5, (0.2, 0.1), 0.3), 20),
     "n16_smooth": ((16, 1, 0.5, (0.2,), 0.4), 20),
@@ -291,19 +292,25 @@ def test_off_axis_values_match_a_fine_biaxial_rule(args):
 
 
 def test_block_size_does_not_change_values(monkeypatch):
-    bm = cached_map(3, 2, 0.55, (0.3, -0.2), 0.4)
-    points = ball_points(3, 5, 3)
-    nodes = segmented_pairs(mapping._default_biaxial(3, bm.rule.order), bm.breakpoints)[0].size
-    default = eval_batch(bm, points)
-    for values in (nodes, nodes * len(points)):  # one point per block, the whole batch in one
-        monkeypatch.setattr(mapping, "_BLOCK_VALUES", values)
-        np.testing.assert_allclose(eval_batch(bm, points), default, rtol=0, atol=1e-13)
+    # by default the n = 3 map takes two points a block, the n = 4 jump map
+    # one, and the n = 2 map the whole batch
+    maps = (cached_map(3, 2, 0.55, (0.3, -0.2), 0.4), jump_map_n4(), cached_map(2, 1, 0.5, (0.3,), 0.4))
+    for bm in maps:
+        n = bm.spec.n
+        points = ball_points(n, 5, 3)
+        nodes = segmented_pairs(mapping._default_biaxial(n, bm.rule.order), bm.breakpoints)[0].size
+        monkeypatch.undo()
+        default = eval_batch(bm, points)
+        # one point per block, two with a short last block, the whole batch in one
+        for values in (nodes, 2 * nodes, nodes * len(points)):
+            monkeypatch.setattr(mapping, "_BLOCK_VALUES", values)
+            np.testing.assert_allclose(eval_batch(bm, points), default, rtol=0, atol=1e-13)
 
 
 def test_blocked_evaluation_keeps_its_temporaries_small():
     # one 644-point call on a 65,536-pair rule: fresh 16 MB blocks peaked at
     # 99.5 MiB and the expanded (t1, t2) pairs beside two reused 512 KB
-    # buffers at 4.6 MiB; on the factored rule the call peaks at 1.2 MiB
+    # buffers at 4.6 MiB; on the factored rule the call peaks at 1.1 MiB
     bm = jump_map_n4()
     points = ball_points(4, 644, 4)
     eval_batch(bm, points[:1])  # build the rule outside the measurement
