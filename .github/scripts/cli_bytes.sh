@@ -31,6 +31,7 @@ calls=(
   "bound --n=2 --m=1 --r=0.5 --a=0.9 --b=0.5"
   "verify --suite moments,jacobian,signs"
   "verify --suite harmonicity"
+  "verify --suite sharpness,envelope"
 )
 outdir=$(mktemp -d)
 trap 'rm -rf "$outdir"' EXIT

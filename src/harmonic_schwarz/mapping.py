@@ -28,13 +28,14 @@ as its own sinh-mapped panel (``solver.Layer``).
 Each single-center path is the batch of one: ``boundary_map`` is
 ``boundary_maps`` of one spec, and ``eval_on_axis`` and ``axis_values``
 both run the one axis evaluator ``_on_axis``, which takes all components
-of many maps in one pass.
+of many maps in one pass.  The map's rule ``bmap.rule`` sets every
+evaluator's accuracy: ``eval_batch`` runs on the biaxial rule of half its
+order, and both error estimates compare the map with ``_halved(bmap)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -52,7 +53,6 @@ from .solver import (
 )
 from .sphere import (
     DEFAULT_ORDER,
-    BiaxialRule,
     QuadratureRule,
     biaxial_rule,
     segmented_nodes,
@@ -140,13 +140,12 @@ def constant_map(spec: ProblemSpec, rule: QuadratureRule | None = None) -> Bound
 def eval_on_axis(bmap: BoundaryMap, rho: float) -> MapEvaluation:
     """Poisson extension at rho * N, 0 <= rho < 1.
 
-    The axis evaluator ``_on_axis`` run on the map at its own rule and at
-    half order, both in one pass; the two are compared to report a
-    quadrature error estimate alongside the value.
+    The axis evaluator ``_on_axis`` run on the map and on ``_halved(bmap)``
+    in one pass; the two are compared to report a quadrature error
+    estimate alongside the value.
     """
     _check_radius(rho)
-    half = zonal_rule(bmap.spec.n, max(bmap.rule.order // 2, 8))
-    value, coarse = _on_axis([bmap, bmap], rho, [bmap.rule, half]).T
+    value, coarse = _on_axis([bmap, _halved(bmap)], rho).T
     x = np.zeros(bmap.spec.n)
     x[-1] = rho
     return MapEvaluation(
@@ -168,7 +167,7 @@ def axis_values(maps, rho: float) -> np.ndarray:
     if not maps:
         return np.zeros(0)
     passes = [maps[k : k + BATCH_ROWS] for k in range(0, len(maps), BATCH_ROWS)]
-    return np.concatenate([_on_axis(part, rho, [bmap.rule for bmap in part])[0] for part in passes])
+    return np.concatenate([_on_axis(part, rho)[0] for part in passes])
 
 
 def _check_radius(rho: float) -> None:
@@ -176,9 +175,15 @@ def _check_radius(rho: float) -> None:
         raise ValueError(f"need 0 <= rho < 1, got rho={rho}")
 
 
-def _on_axis(maps, rho: float, rules) -> np.ndarray:
+def _halved(bmap: BoundaryMap) -> BoundaryMap:
+    """The map on its rule at half order (at least 8): both evaluators'
+    error estimate compares a value with this map's."""
+    return replace(bmap, rule=zonal_rule(bmap.spec.n, max(bmap.rule.order // 2, 8)))
+
+
+def _on_axis(maps, rho: float) -> np.ndarray:
     """u(N) + int (u - u(N)) P at rho * N for every component u of each
-    map's datum, map k on ``rules[k]``: shape (m+1, K).
+    map's datum, each map on its own rule: shape (m+1, K).
 
     Taken so, as P has unit mass: P peaks within (1 - rho)^2 of the pole,
     so rounded nodes miss its mass by ~1e-16 / (1 - rho)^2.  Each map is
@@ -188,10 +193,10 @@ def _on_axis(maps, rho: float, rules) -> np.ndarray:
     its map's own segment sum, so a map's column is the same in any batch.
     """
     cap, shared, nodes = _axis_cap_breakpoints(rho), {}, []
-    for bmap, rule in zip(maps, rules):
-        key = (id(rule), bmap.breakpoints, id(bmap.layer))
+    for bmap in maps:
+        key = (id(bmap.rule), bmap.breakpoints, id(bmap.layer))
         if key not in shared:
-            shared[key] = segmented_nodes(rule, tuple(sorted({*bmap.breakpoints, *cap})), bmap.layer)
+            shared[key] = segmented_nodes(bmap.rule, tuple(sorted({*bmap.breakpoints, *cap})), bmap.layer)
         nodes.append(shared[key])
     sizes, count = [t.size for t, _ in nodes], len(maps)
     t = np.concatenate([*(t for t, _ in nodes), np.ones(count)])  # every map's nodes, then its pole
@@ -202,11 +207,6 @@ def _on_axis(maps, rho: float, rules) -> np.ndarray:
     w = np.concatenate([w for _, w in nodes])
     starts = list(accumulate(sizes[:-1], initial=0))
     return pole + _segment_sums((comps - np.repeat(pole, sizes, axis=1)) * (w * kernel), starts)
-
-
-@lru_cache(maxsize=32)
-def _default_biaxial(n: int, order: int) -> BiaxialRule:
-    return biaxial_rule(n, max(order // 2, 32), max(order // 4, 16))
 
 
 # Kernel values per block of eval_batch: at most 2^16 doubles (512 KB),
@@ -264,35 +264,32 @@ def _inverse_power(base: np.ndarray, n: int, work: np.ndarray) -> None:
     np.divide(1.0, power, out=base)
 
 
-def eval_batch(bmap: BoundaryMap, points: np.ndarray, rule: BiaxialRule | None = None) -> np.ndarray:
+def eval_batch(bmap: BoundaryMap, points: np.ndarray) -> np.ndarray:
     """Poisson extension at many interior points, shape (B, m+1).
 
-    Values depend on each point only through (|x|, <x, N>), so the rule's
-    factors and the datum on its latitude nodes (512 for a jump rule of
-    65,536 node pairs) are shared across the batch.  Every point is
-    checked (finite, |x| < 1) and decomposed in one pass; the kernel is
-    then formed in blocks of at most ``_BLOCK_VALUES`` values, laid out
-    (inner, points x latitude) in two buffers made once per call and
-    reused by every block.  Per block, c and d are formed per (point,
-    latitude) into one (2, points x latitude) buffer; then five passes
-    over the kernel buffer at n = 3 and four at n = 4: c - d s as one
-    product [1, -s] @ [c; d], the power -n/2 by ``_inverse_power`` and
-    one product with the inner weights.  2,048 points at n = 3, r = 0.5
-    take 0.19-0.21 s on a smooth datum and 0.37-0.42 s on a jump (n = 4:
-    0.11-0.14 s and 0.23-0.29 s); 2,000 points at n = 2 take 6.1-8.9 ms,
-    from run to run.
+    A map's rule of order k sets the rule: ``biaxial_rule(n, k // 2)``, of
+    latitude order k/2 and inner order k/4.  Values depend on each point
+    only through (|x|, <x, N>), so the rule's factors and the datum on its
+    latitude nodes (512 for a jump rule of 65,536 node pairs) are shared
+    across the batch.  Every point is checked (finite, |x| < 1) and
+    decomposed in one pass; the kernel is then formed in blocks of at most
+    ``_BLOCK_VALUES`` values, laid out (inner, points x latitude) in two
+    buffers made once per call and reused by every block.  Per block, c
+    and d are formed per (point, latitude) into one (2, points x latitude)
+    buffer; then five passes over the kernel buffer at n = 3 and four at
+    n = 4: c - d s as one product [1, -s] @ [c; d], the power -n/2 by
+    ``_inverse_power`` and one product with the inner weights.  2,048
+    points at n = 3, r = 0.5 take 0.19-0.21 s on a smooth datum and
+    0.37-0.42 s on a jump (n = 4: 0.11-0.14 s and 0.23-0.29 s); 2,000
+    points at n = 2 take 6.1-8.9 ms, from run to run.
 
     The rule has no grading toward the point, so accuracy fails near the
     sphere without any flag: against a 1024 x 512 biaxial rule the values
     are off by about 4e-12 at |x| = 0.9, 4e-6 at 0.95 and 1e-3 at 0.97
     (n = 3; n = 4 about five times more), until ROADMAP item 2 lands.
-    ``rule`` must be of the map's dimension.
     """
     n = bmap.spec.n
-    if rule is None:
-        rule = _default_biaxial(n, bmap.rule.order)
-    elif rule.n != n:
-        raise ValueError(f"a biaxial rule of dimension {rule.n} cannot evaluate a map of dimension {n}")
+    rule = biaxial_rule(n, bmap.rule.order // 2)
     rho, cos_t, sin_t = _polar(np.asarray(points, dtype=float), n)
     t, w = segmented_outer(rule, bmap.breakpoints, bmap.layer)
     s, v = rule.inner.nodes, rule.inner.weights
@@ -327,18 +324,14 @@ def eval_general(bmap: BoundaryMap, x) -> MapEvaluation:
 
     The value is ``eval_batch``'s, with its silent error near the sphere
     (about 4e-12 at |x| = 0.9, 4e-6 at 0.95, 1e-3 at 0.97).  The estimate
-    compares it with a half-order rule and does not track that error: it
+    is ``eval_on_axis``'s half-order comparison, here of ``eval_batch`` on
+    the map and on ``_halved(bmap)``, and does not track that error: it
     reads 1e-6 to 3e-6 at 0.9 and 1e-3 to 3e-3 at 0.95 (n = 3).  On the
     rules' factors a point takes 0.3 ms (n = 3, smooth), against 1.7-2.0
     ms when each call expanded its rule to node pairs.
     """
-    n = bmap.spec.n
-    rule = _default_biaxial(n, bmap.rule.order)
     x = np.asarray(x, dtype=float)
-    value = eval_batch(bmap, x[None, :], rule)[0]
-    order = rule.outer_order
-    coarse_rule = biaxial_rule(n, max(order // 2, 16), max(order // 4, 8))
-    coarse = eval_batch(bmap, x[None, :], coarse_rule)[0]
+    value, coarse = (eval_batch(m, x[None, :])[0] for m in (bmap, _halved(bmap)))
     return MapEvaluation(
         x=x, value=value, quadrature_error_estimate=float(np.abs(value - coarse).max())
     )

@@ -341,8 +341,8 @@ class BiaxialRule:
     it is the zonal rule of S^0, s = -1, +1 at weight 1/2, so the pairs
     lie on t1^2 + t2^2 = 1.  ``outer_order`` is the order that a
     t1-piecewise version of the rule gives each piece
-    (``segmented_outer``).  ``t1``, ``t2`` and ``weights`` expand the
-    product on each access, node pairs t1-major.
+    (``segmented_outer``); ``segmented_pairs`` expands the product.  A
+    map's own latitude rule sets the one ``mapping.eval_batch`` takes.
     """
 
     n: int
@@ -350,27 +350,12 @@ class BiaxialRule:
     inner: QuadratureRule
     outer_order: int
 
-    @property
-    def size(self) -> int:
-        return self.outer.order * self.inner.order
-
-    @property
-    def t1(self) -> np.ndarray:
-        return _pairs(self.outer.nodes, self.outer.weights, self.inner)[0]
-
-    @property
-    def t2(self) -> np.ndarray:
-        return _pairs(self.outer.nodes, self.outer.weights, self.inner)[1]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return _pairs(self.outer.nodes, self.outer.weights, self.inner)[2]
-
 
 @lru_cache(maxsize=64)
-def biaxial_rule(n: int, order: int = 256, inner_order: int | None = None) -> BiaxialRule:
+def biaxial_rule(n: int, order: int = 256) -> BiaxialRule:
     """Tensor rule for biaxial profiles: ``zonal_rule(n, order)`` times
-    ``zonal_rule(n - 1, inner_order)`` (default ``order``) for n >= 3.
+    ``zonal_rule(n - 1, max(order // 2, 1))`` for n >= 3.  ``mapping``
+    evaluates a map of rule order k on ``biaxial_rule(n, k // 2)``.
 
     On the circle the outer factor is ``zonal_rule(2, 2 * order)``, a
     Chebyshev rule whose nodes with s = +-1 are 4 * order equally spaced
@@ -383,8 +368,7 @@ def biaxial_rule(n: int, order: int = 256, inner_order: int | None = None) -> Bi
         half = _freeze([0.5, 0.5])
         outer, inner = zonal_rule(2, 2 * order), QuadratureRule(1, _freeze([-1.0, 1.0]), half)
     else:
-        outer = zonal_rule(n, order)
-        inner = zonal_rule(n - 1, inner_order if inner_order is not None else order)
+        outer, inner = zonal_rule(n, order), zonal_rule(n - 1, max(order // 2, 1))
     return BiaxialRule(n, outer, inner, outer_order=order)
 
 

@@ -269,11 +269,11 @@ def test_axis_evaluator_batch_is_the_lone_evaluation(kind):
         assert all(bmap.spec.b < 0.0 for bmap in maps)
     order = np.random.default_rng(4).permutation(len(maps))
     for rho in (0.0, spec.r, 0.97, 0.999):
-        batch = _on_axis(maps, rho, [bmap.rule for bmap in maps])
+        batch = _on_axis(maps, rho)
         for k, bmap in enumerate(maps):
             lone = eval_on_axis(bmap, rho).value
             assert batch[:, k].tobytes() == lone.tobytes()
-        shuffled = _on_axis([maps[k] for k in order], rho, [maps[k].rule for k in order])
+        shuffled = _on_axis([maps[k] for k in order], rho)
         assert shuffled.tobytes() == batch[:, order].tobytes()
 
 

@@ -95,9 +95,8 @@ def test_importing_the_cli_builds_no_rule(tmp_path, subprocess_env):
     # the rule caches fill on first use, so import time stays free of rule builds
     script = (
         "import json, harmonic_schwarz.cli\n"
-        "from harmonic_schwarz import mapping, solver, sphere\n"
-        "caches = [sphere.zonal_rule, sphere.biaxial_rule, sphere._base_jacobi,\n"
-        "          mapping._default_biaxial, solver._unit_pieces]\n"
+        "from harmonic_schwarz import solver, sphere\n"
+        "caches = [sphere.zonal_rule, sphere.biaxial_rule, sphere._base_jacobi, solver._unit_pieces]\n"
         "print(json.dumps({f.__qualname__: f.cache_info().currsize for f in caches}))\n"
     )
     proc = subprocess.run(
@@ -105,7 +104,7 @@ def test_importing_the_cli_builds_no_rule(tmp_path, subprocess_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == dict.fromkeys(
-        ["zonal_rule", "biaxial_rule", "_base_jacobi", "_default_biaxial", "_unit_pieces"], 0
+        ["zonal_rule", "biaxial_rule", "_base_jacobi", "_unit_pieces"], 0
     )
 
 

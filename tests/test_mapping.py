@@ -200,7 +200,7 @@ def ball_points(n, count, seed):
 def direct_poisson_sum(bm, points):
     """Per point, the biaxial Poisson sum written out as a loop over the points."""
     n = bm.spec.n
-    t1, t2, w = segmented_pairs(mapping._default_biaxial(n, bm.rule.order), bm.breakpoints, bm.layer)
+    t1, t2, w = segmented_pairs(biaxial_rule(n, bm.rule.order // 2), bm.breakpoints, bm.layer)
     comps = bm.components(t1)
     out = np.empty((len(points), bm.spec.m + 1))
     for k, x in enumerate(points):
@@ -246,20 +246,11 @@ def test_blocked_evaluation_matches_a_direct_poisson_sum(case):
         if case == "origin":
             points = np.vstack([np.zeros(4), points])
     if case == "n4_jump_several_blocks":  # one point per block
-        nodes = segmented_pairs(mapping._default_biaxial(4, bm.rule.order), bm.breakpoints)[0]
+        nodes = segmented_pairs(biaxial_rule(4, bm.rule.order // 2), bm.breakpoints)[0]
         assert nodes.size == mapping._BLOCK_VALUES
     got = eval_batch(bm, points)
     assert got.shape == (len(points), bm.spec.m + 1)
     np.testing.assert_allclose(got, direct_poisson_sum(bm, points), rtol=0, atol=1e-13)
-
-
-def test_batch_evaluation_rejects_a_rule_of_another_dimension():
-    # a circle rule on an n = 4 map gave F_1 = 1.169, outside the unit ball
-    bm = cached_map(4, 2, 0.5, (0.25, -0.1), 0.35)
-    x = np.array([[0.1, 0.2, 0.0, 0.3]])
-    with pytest.raises(ValueError, match="dimension 2 .* dimension 4"):
-        eval_batch(bm, x, biaxial_rule(2, 256))
-    np.testing.assert_allclose(eval_batch(bm, x, biaxial_rule(4, 256, 128))[0, 0], 0.653, atol=5e-4)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -281,13 +272,13 @@ def test_off_axis_values_match_a_fine_biaxial_rule(args):
     # 1e-5 at 0.95 (ROADMAP item 2), so this pins it where it is still small
     bm = cached_map(*args)
     n = bm.spec.n
-    fine = biaxial_rule(n, 1024, 512)
+    fine = dataclasses.replace(bm, rule=sphere.zonal_rule(n, 2048))  # on the 1024 x 512 biaxial rule
     dirs = np.random.default_rng(7).normal(size=(6, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     for radius in (0.8, 0.9):
         points = radius * dirs
         np.testing.assert_allclose(
-            eval_batch(bm, points), eval_batch(bm, points, fine), rtol=0, atol=1e-10
+            eval_batch(bm, points), eval_batch(fine, points), rtol=0, atol=1e-10
         )
 
 
@@ -298,7 +289,7 @@ def test_block_size_does_not_change_values(monkeypatch):
     for bm in maps:
         n = bm.spec.n
         points = ball_points(n, 5, 3)
-        nodes = segmented_pairs(mapping._default_biaxial(n, bm.rule.order), bm.breakpoints)[0].size
+        nodes = segmented_pairs(biaxial_rule(n, bm.rule.order // 2), bm.breakpoints)[0].size
         monkeypatch.undo()
         default = eval_batch(bm, points)
         # one point per block, two with a short last block, the whole batch in one
@@ -421,3 +412,37 @@ def test_error_estimate_reported_for_smooth_data():
     bm = cached_map(3, 2, 0.55, (0.3, -0.2), 0.4)
     ev = eval_general(bm, np.array([0.1, -0.2, 0.3]))
     assert 0.0 <= ev.quadrature_error_estimate < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("kind", ["smooth", "jump"])
+def test_both_evaluators_share_one_estimate_convention(n, kind, monkeypatch):
+    # eval_general is eval_batch at one point; both estimates compare the
+    # map with mapping._halved(map), whose biaxial rule is strictly coarser
+    # (with floors on the biaxial orders, order 64 compared a rule with
+    # itself and read 0).  At |x| = 0.95 the estimate stands clear of rounding.
+    spec = ProblemSpec(n=n, m=1, r=0.5, a=np.array([0.3]), b=0.4 if kind == "smooth" else 0.0)
+    x = np.full(n, 0.95 / np.sqrt(n))
+    used = []
+
+    def recorded(*args):
+        used.append(biaxial_rule(*args))
+        return used[-1]
+
+    for order in (64, 128, 256, 512):
+        bm = boundary_map(spec, sphere.zonal_rule(n, order))
+        half = mapping._halved(bm)
+        assert (bm.breakpoints != ()) == (kind == "jump")
+        with monkeypatch.context() as patch:
+            patch.setattr(mapping, "biaxial_rule", recorded)
+            ev = eval_general(bm, x)
+        fine, coarse = used[-2:]
+        assert fine.outer_order > coarse.outer_order
+        assert fine.inner.order > coarse.inner.order or n == 2  # the circle's inner rule is s = +-1
+        value = eval_batch(bm, x[None])[0]
+        assert ev.value.tobytes() == value.tobytes()
+        assert ev.quadrature_error_estimate == np.abs(value - eval_batch(half, x[None])[0]).max() > 0.0
+        axis = eval_on_axis(bm, 0.95)
+        lone, halved = mapping._on_axis([bm], 0.95)[:, 0], mapping._on_axis([half], 0.95)[:, 0]
+        assert axis.value.tobytes() == lone.tobytes()
+        assert axis.quadrature_error_estimate == np.abs(lone - halved).max()
